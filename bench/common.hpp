@@ -18,11 +18,29 @@
 
 #include "obs/export.hpp"
 #include "obs/replay.hpp"
+#include "sim/hash.hpp"
 #include "sim/logging.hpp"
+#include "sim/stats.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
 
 namespace bpd::bench {
+
+using sim::fnv;
+using sim::kFnvSeed;
+
+/** Fold a latency histogram's shape into scenario digest @p h. */
+inline std::uint64_t
+hashHistogram(std::uint64_t h, const sim::Histogram &hist)
+{
+    h = fnv(h, hist.count());
+    h = fnv(h, hist.min());
+    h = fnv(h, hist.max());
+    h = fnv(h, hist.p50());
+    h = fnv(h, hist.p99());
+    h = fnv(h, hist.p999());
+    return h;
+}
 
 /** Print a banner naming the experiment and the paper artifact. */
 inline void

@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -59,38 +58,10 @@ using namespace bpd;
 
 namespace {
 
-/** FNV-1a over 64-bit words; chained across all scenario outputs. */
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvDouble(std::uint64_t h, double d)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return fnv(h, bits);
-}
-
-constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
-
-std::uint64_t
-hashHistogram(std::uint64_t h, const sim::Histogram &hist)
-{
-    h = fnv(h, hist.count());
-    h = fnv(h, hist.min());
-    h = fnv(h, hist.max());
-    h = fnv(h, hist.p50());
-    h = fnv(h, hist.p99());
-    h = fnv(h, hist.p999());
-    return h;
-}
+using bench::hashHistogram;
+using sim::fnv;
+using sim::fnvDouble;
+using sim::kFnvSeed;
 
 struct ScenarioResult
 {

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "sim/coro.hpp"
+#include "sim/hash.hpp"
 #include "system/system.hpp"
 
 using namespace bpd;
@@ -91,9 +92,8 @@ class TinyKv
     std::uint64_t
     offsetOf(const std::string &key) const
     {
-        std::uint64_t h = 1469598103934665603ull;
-        for (char c : key)
-            h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+        const std::uint64_t h = sim::fnvBytes(
+            reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
         return (h % kBuckets) * 512;
     }
 

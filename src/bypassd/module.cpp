@@ -430,11 +430,10 @@ BypassdModule::createUserQueues(kern::Process &p, std::uint32_t depth,
 {
     auto uq = std::make_unique<UserQueues>();
     uq->slot = slot;
-    uq->qp = kernel_.slotDevice(slot).createQueuePair(p.pasid(), depth,
-                                                      /*vbaMode=*/true);
-    if (!uq->qp)
+    uq->dispatcher = kernel_.slotDevice(slot).openQueue(p.pasid(), depth,
+                                                        /*vbaMode=*/true);
+    if (!uq->dispatcher)
         return nullptr;
-    uq->dispatcher = std::make_unique<ssd::CommandDispatcher>(*uq->qp);
     uq->dmaBuf.assign(dmaBytes, 0);
     uq->dmaIova = p.aspace().reserve(dmaBytes, kBlockBytes);
     // The DMA buffer is registered with the home device's IOMMU context;
@@ -452,12 +451,11 @@ BypassdModule::createUserQueues(kern::Process &p, std::uint32_t depth,
 void
 BypassdModule::destroyUserQueues(kern::Process &p, UserQueues &uq)
 {
-    if (!uq.qp)
+    if (!uq.dispatcher)
         return;
     kernel_.slotIommu(uq.slot).unmapDma(p.pasid(), uq.dmaIova);
     p.aspace().release(uq.dmaIova, uq.dmaBuf.size());
-    kernel_.slotDevice(uq.slot).destroyQueuePair(uq.qp->qid());
-    uq.qp = nullptr;
+    uq.dispatcher.reset();
 }
 
 } // namespace bpd::bypassd

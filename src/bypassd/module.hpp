@@ -33,7 +33,7 @@ struct FmapResult
 /** A user-mapped queue pair plus its pinned DMA buffer. */
 struct UserQueues
 {
-    ssd::QueuePair *qp = nullptr;
+    /** Owns the queue pair; null once destroyUserQueues() ran. */
     std::unique_ptr<ssd::CommandDispatcher> dispatcher;
     std::vector<std::uint8_t> dmaBuf;
     std::uint64_t dmaIova = 0;

@@ -187,25 +187,6 @@ UserLib::obsTrack()
     return obsTrack_;
 }
 
-kern::IoCb
-UserLib::wrapRequest(const char *name, obs::TraceId trace, kern::IoCb cb)
-{
-    obs::Tracer *t = kernel_.tracer();
-    const Time start = kernel_.eq().now();
-    const std::uint16_t track = obsTrack();
-    return [this, t, name, track, trace, start,
-            cb = std::move(cb)](long long n, kern::IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        t->request(track, name, trace, start, kernel_.eq().now(), b);
-        cb(n, tr);
-    };
-}
-
 void
 UserLib::pread(Tid tid, int fd, std::span<std::uint8_t> buf,
                std::uint64_t off, kern::IoCb cb)
@@ -222,7 +203,8 @@ UserLib::pread(Tid tid, int fd, std::span<std::uint8_t> buf,
     obs::TraceId trace = 0;
     if (obs::Tracer *t = kernel_.tracer()) {
         trace = t->newTrace(proc_.pasid());
-        cb = wrapRequest("bypassd.pread", trace, std::move(cb));
+        cb = kern::traceRequest(*t, obsTrack(), "bypassd.pread", trace,
+                                std::move(cb));
     }
     preadResume(tid, fd, buf, off, std::move(cb), trace);
 }
@@ -269,7 +251,8 @@ UserLib::pwrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
     obs::TraceId trace = 0;
     if (obs::Tracer *t = kernel_.tracer()) {
         trace = t->newTrace(proc_.pasid());
-        cb = wrapRequest("bypassd.pwrite", trace, std::move(cb));
+        cb = kern::traceRequest(*t, obsTrack(), "bypassd.pwrite", trace,
+                                std::move(cb));
     }
     pwriteResume(tid, fd, buf, off, std::move(cb), trace);
 }
@@ -400,9 +383,9 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
         cmd.hostBuf = std::span<std::uint8_t>(pw->data.data(),
                                               pw->data.size());
         cmd.trace = trace;
-        submitWithRetry(tid, fi2->slot, cmd,
-                        [this, fd, trace, issue, complete](
-                            const ssd::Completion &comp) {
+        submit(tid, fi2->slot, cmd,
+               [this, fd, trace, issue, complete](
+                   const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
                 handleFault(fd, [issue]() { (*issue)(); },
                             [issue]() { (*issue)(); }, trace);
@@ -484,24 +467,17 @@ UserLib::drainPendingWrites(int fd, std::function<void()> done)
 }
 
 void
-UserLib::submitWithRetry(Tid tid, std::size_t slot, ssd::Command cmd,
-                         ssd::CommandDispatcher::CompletionFn fn)
+UserLib::submit(Tid tid, std::size_t slot, ssd::Command cmd,
+                ssd::CommandDispatcher::CompletionFn fn)
 {
-    // QoS gate on the direct path: data commands charge the process's
-    // token buckets exactly once (the SQ-full retry loop below does not
-    // re-charge). Flushes are exempt — caps cover data IOPS/bytes only.
-    qos::Registry *qos = kernel_.qos();
-    if (qos && (cmd.op == ssd::Op::Read || cmd.op == ssd::Op::Write)) {
-        const TenantId tenant = proc_.pasid();
-        if (!qos->tryAcquire(tenant, 1, cmd.len)) {
-            qos->park(tenant, 1, cmd.len,
-                      [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
-                          submitNow(tid, slot, cmd, std::move(fn));
-                      });
-            return;
-        }
-    }
-    submitNow(tid, slot, cmd, std::move(fn));
+    // Data commands charge the process's token buckets exactly once
+    // (the SQ-full retry loop does not re-charge); flushes are exempt,
+    // since caps cover data IOPS/bytes only.
+    qos::admit(cmd.op == ssd::Op::Flush ? nullptr : kernel_.qos(),
+               proc_.pasid(), 1, cmd.len,
+               [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
+                   submitNow(tid, slot, cmd, std::move(fn));
+               });
 }
 
 void
@@ -624,10 +600,10 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
         cmd.useIova = true;
         cmd.trace = trace;
         const Time tSubmit = kernel_.eq().now();
-        submitWithRetry(tid, slot, cmd,
-                        [this, tid, fd, buf, off, n, aStart, slot,
-                         start, tSubmit, trace, cb = std::move(cb)](
-                            const ssd::Completion &comp) {
+        submit(tid, slot, cmd,
+               [this, tid, fd, buf, off, n, aStart, slot,
+                start, tSubmit, trace, cb = std::move(cb)](
+                   const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,
@@ -701,10 +677,10 @@ UserLib::directOverwrite(Tid tid, int fd,
         cmd.useIova = true;
         cmd.trace = trace;
         const Time tSubmit = kernel_.eq().now();
-        submitWithRetry(tid, slot, cmd,
-                        [this, tid, fd, buf, off, n, start, tSubmit,
-                         trace, cb = std::move(cb)](
-                            const ssd::Completion &comp) {
+        submit(tid, slot, cmd,
+               [this, tid, fd, buf, off, n, start, tSubmit,
+                trace, cb = std::move(cb)](
+                   const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,
@@ -805,10 +781,10 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         rd.dmaIova = uq(tid, slot).dmaIova;
         rd.useIova = true;
         rd.trace = trace;
-        submitWithRetry(tid, slot, rd,
-                        [this, tid, fd, data, off, aStart, len, slot,
-                         start, trace,
-                         finish](const ssd::Completion &comp) {
+        submit(tid, slot, rd,
+               [this, tid, fd, data, off, aStart, len, slot,
+                start, trace,
+                finish](const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,
@@ -859,9 +835,9 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 wr.dmaIova = uq(tid, slot).dmaIova;
                 wr.useIova = true;
                 wr.trace = trace;
-                submitWithRetry(tid, slot, wr,
-                                [this, data, start, finish](
-                                    const ssd::Completion &c2) {
+                submit(tid, slot, wr,
+                       [this, data, start, finish](
+                           const ssd::Completion &c2) {
                     kern::IoTrace tr;
                     tr.userNs = kernel_.costs().userlibCompleteNs;
                     tr.deviceNs = kernel_.eq().now() - start;
@@ -993,8 +969,8 @@ UserLib::fsync(Tid tid, int fd, kern::IntCb cb)
         ssd::Command cmd;
         cmd.op = ssd::Op::Flush;
         cmd.addrIsVba = false;
-        submitWithRetry(tid, slot, cmd,
-                        [this, fd, cb](const ssd::Completion &) {
+        submit(tid, slot, cmd,
+               [this, fd, cb](const ssd::Completion &) {
             kernel_.sysFsync(proc_, fd, cb);
         });
     });

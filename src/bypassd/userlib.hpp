@@ -199,14 +199,13 @@ class UserLib
                      std::function<void()> fallbackKernel,
                      obs::TraceId trace = 0);
 
-    /** Emit a "bypassd.*" request envelope at completion (tracing on). */
-    kern::IoCb wrapRequest(const char *name, obs::TraceId trace,
-                           kern::IoCb cb);
     /** Lazily interned "bypassd.p<pid>" track (tracer must be set). */
     std::uint16_t obsTrack();
 
-    void submitWithRetry(Tid tid, std::size_t slot, ssd::Command cmd,
-                         ssd::CommandDispatcher::CompletionFn fn);
+    /** Submit on the direct path: QoS admission, then submitNow(). */
+    void submit(Tid tid, std::size_t slot, ssd::Command cmd,
+                ssd::CommandDispatcher::CompletionFn fn);
+    /** The SQ-full retry loop: poll every 500 ns until accepted. */
     void submitNow(Tid tid, std::size_t slot, ssd::Command cmd,
                    ssd::CommandDispatcher::CompletionFn fn);
 

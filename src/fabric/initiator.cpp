@@ -191,25 +191,12 @@ FabricInitiator::gateAndAdmit(std::uint64_t cid)
     // submission site), keyed by the connection tenant the target
     // granted. The target-side registry only supplies dispatch weights;
     // touching it from the client domain would race under sharding.
-    qos::Registry *qos = host_.qos();
-    if (qos) {
-        auto it = pending_.find(cid);
-        if (it == pending_.end())
-            return;
-        const std::uint64_t bytes = it->second.buf.size();
-        if (!qos->tryAcquire(tenant_, 1, bytes)) {
-            qos->park(tenant_, 1, bytes,
-                      [this, cid, gen = gen_, alive = alive_] {
-                          if (!*alive || gen != gen_)
-                              return; // reset already failed this cid
-                          if (!pending_.count(cid))
-                              return;
-                          admit(cid);
-                      });
-            return;
-        }
-    }
-    admit(cid);
+    qos::admit(host_.qos(), tenant_, 1, pending_.at(cid).buf.size(),
+               [this, cid, gen = gen_, alive = alive_] {
+                   if (!*alive || gen != gen_ || !pending_.count(cid))
+                       return; // a reset already failed this cid
+                   admit(cid);
+               });
 }
 
 void
@@ -407,6 +394,9 @@ FabricInitiator::finishIo(
             stats_.rdmaWrites++;
     }
     stats_.latency.record(total);
+    kern::IoTrace tr;
+    tr.deviceNs = deviceNs;
+    tr.userNs = total - deviceNs;
     if (obs::Tracer *t = host_.tracer()) {
         const std::uint16_t track
             = t->track("fabric.c" + std::to_string(connId_));
@@ -414,17 +404,10 @@ FabricInitiator::finishIo(
                 {{"conn", static_cast<std::int64_t>(connId_)},
                  {"in_capsule", p.inCapsule ? 1 : 0},
                  {"bytes", static_cast<std::int64_t>(p.buf.size())}});
-        obs::RequestBreakdown b;
-        b.deviceNs = deviceNs;
-        b.userNs = total - deviceNs;
-        b.bytes = ok ? p.buf.size() : 0;
-        const char *name
-            = p.op == ssd::Op::Write ? "fabric.write" : "fabric.read";
-        t->request(track, name, p.trace, p.start, now, b);
+        kern::emitRequest(
+            *t, track, p.op == ssd::Op::Write ? "fabric.write" : "fabric.read",
+            p.trace, p.start, tr, ok ? p.buf.size() : 0);
     }
-    kern::IoTrace tr;
-    tr.deviceNs = deviceNs;
-    tr.userNs = total - deviceNs;
     // An evicted remote device fails distinctly so fabric clients can
     // fail over, mirroring the local kernel path's ENODEV.
     p.cb(ok ? static_cast<long long>(p.buf.size())

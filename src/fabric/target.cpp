@@ -54,11 +54,7 @@ FabricTarget::~FabricTarget()
         return;
     sim::panicIf(pendingIos_ > 0,
                  "fabric target destroyed with I/O in flight");
-    for (auto &[id, c] : conns_) {
-        if (c->qp)
-            c->dev->destroyQueuePair(c->qp->qid());
-    }
-    conns_.clear();
+    conns_.clear(); // each dispatcher releases its queue pair
     for (std::size_t slot : claimedSlots_)
         sys_.kernel.slotDevice(slot).releaseExclusive(kFabricOwnerPasid);
     claimedSlots_.clear();
@@ -149,19 +145,16 @@ FabricTarget::finishConnect(FabricInitiator *ini, std::uint32_t gen,
     c->reactor = sys::connReactor(id, reactorCount());
     c->slot = slot;
     if (st == ConnectStatus::Ok) {
-        c->dev = &sys_.kernel.slotDevice(slot);
-        c->qp = c->dev->createQueuePair(kFabricOwnerPasid,
-                                        prof_.queueDepth,
-                                        /*vbaMode=*/false);
-        if (!c->qp)
+        c->disp = sys_.kernel.slotDevice(slot).openQueue(
+            kFabricOwnerPasid, prof_.queueDepth, /*vbaMode=*/false);
+        if (!c->disp)
             st = ConnectStatus::Refused;
     }
     const TenantId tenant = kConnTenantBase + id;
     if (st == ConnectStatus::Ok) {
         // Weighted-fair SQ arbitration keys on the connection tenant,
         // not the shared kFabricOwnerPasid, so per-lane weights work.
-        c->qp->setQosTenant(tenant);
-        c->disp = std::make_unique<ssd::CommandDispatcher>(*c->qp);
+        c->disp->queue().setQosTenant(tenant);
         c->open = true;
         accepts_++;
         ConnInfo info;
@@ -169,7 +162,7 @@ FabricTarget::finishConnect(FabricInitiator *ini, std::uint32_t gen,
         info.tenant = tenant;
         info.reactor = c->reactor;
         info.slot = slot;
-        info.dev = c->dev->devId();
+        info.dev = sys_.kernel.slotDevice(slot).devId();
         info.connectedAt = sys_.eq.now();
         info.open = true;
         info_[id] = info;
@@ -499,16 +492,14 @@ FabricTarget::teardownPoll(std::uint32_t connId)
     Conn &c = *it->second;
     if (c.inflight > 0 || !c.xfers.empty()
         || (c.disp && c.disp->outstanding() > 0)) {
-        // Queue pairs and dispatchers must outlive their completions;
-        // poll until the last one reaps (mirrors SpdkDriver teardown).
+        // The dispatcher must outlive its completions; poll until the
+        // last one reaps (mirrors SpdkDriver teardown).
         sys_.eq.after(kUs, [this, connId, alive = alive_] {
             if (*alive)
                 teardownPoll(connId);
         });
         return;
     }
-    if (c.qp)
-        c.dev->destroyQueuePair(c.qp->qid());
     conns_.erase(it);
 }
 

@@ -191,9 +191,8 @@ class FabricTarget
         std::uint32_t clientDomain = 0;
         std::uint32_t reactor = 0; //!< data-path lane, fixed at accept
         std::size_t slot = 0;      //!< device slot this conn serves
-        ssd::NvmeDevice *dev = nullptr; //!< that slot's device
         bool open = false;
-        ssd::QueuePair *qp = nullptr;
+        /** Owns the conn's queue pair on the slot's device. */
         std::unique_ptr<ssd::CommandDispatcher> disp;
         std::map<std::uint64_t, PendingXfer> xfers;
         std::uint32_t inflight = 0; //!< pending at target (incl. parked)

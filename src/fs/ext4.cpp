@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/hash.hpp"
 #include "sim/logging.hpp"
 
 namespace bpd::fs {
@@ -594,7 +595,7 @@ Ext4Fs::persistTxn(const std::vector<JRecord> &txn)
         w.u64(r.d);
         w.str(r.s);
     }
-    w.u64(fnv1a(w.bytes().data(), w.size()));
+    w.u64(sim::fnvBytes(w.bytes().data(), w.size()));
 
     const std::uint64_t regionBytes = journalBlocks_ * kBlockBytes;
     if (journalOff_ + w.size() + 8 > regionBytes) {
@@ -625,7 +626,7 @@ Ext4Fs::writeSuperblock(std::uint64_t imageBytes)
     w.u64(cpBlocks_);
     w.u64(alloc_.firstDataBlock());
     w.u64(imageBytes);
-    w.u64(fnv1a(w.bytes().data(), w.size()));
+    w.u64(sim::fnvBytes(w.bytes().data(), w.size()));
     media_.write(0, std::span<const std::uint8_t>(w.bytes().data(),
                                                   w.size()));
 }
@@ -666,7 +667,7 @@ Ext4Fs::persistCheckpointImage()
     // Bitmap words, raw.
     for (std::uint64_t word : words)
         w.u64(word);
-    w.u64(fnv1a(w.bytes().data(), w.size()));
+    w.u64(sim::fnvBytes(w.bytes().data(), w.size()));
 
     sim::panicIf(w.size() > cpBlocks_ * kBlockBytes,
                  "checkpoint image exceeds its region");
@@ -700,7 +701,7 @@ Ext4Fs::recoverFromMedia(ssd::BlockStore &media, sim::EventQueue *eq)
     sr.u64(); // firstData (recomputed)
     const std::uint64_t imageBytes = sr.u64();
     const std::uint64_t sum = sr.u64();
-    if (!sr.ok() || sum != fnv1a(sb.data(), 8 * 8))
+    if (!sr.ok() || sum != sim::fnvBytes(sb.data(), 8 * 8))
         return nullptr;
 
     auto fs = std::unique_ptr<Ext4Fs>(
@@ -716,7 +717,7 @@ Ext4Fs::recoverFromMedia(ssd::BlockStore &media, sim::EventQueue *eq)
     std::uint64_t imgSum = 0;
     if (imageBytes >= 16)
         std::memcpy(&imgSum, img.data() + imageBytes - 8, 8);
-    if (imageBytes < 16 || fnv1a(img.data(), imageBytes - 8) != imgSum)
+    if (imageBytes < 16 || sim::fnvBytes(img.data(), imageBytes - 8) != imgSum)
         return nullptr;
     ByteReader ir(img.data(), img.size());
     if (ir.u64() != kCheckpointMagic)
@@ -782,7 +783,7 @@ Ext4Fs::recoverFromMedia(ssd::BlockStore &media, sim::EventQueue *eq)
         const std::size_t bodyLen = tr.consumed();
         const std::uint64_t sum2 = tr.u64();
         if (!tr.ok()
-            || sum2 != fnv1a(jr.data() + off, bodyLen)) {
+            || sum2 != sim::fnvBytes(jr.data() + off, bodyLen)) {
             break; // torn commit: ignore it and everything after
         }
         for (const JRecord &rec : txn)

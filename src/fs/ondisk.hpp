@@ -1,8 +1,8 @@
 /**
  * @file
  * On-disk serialization helpers for the file system's metadata region:
- * bounds-checked little-endian byte streams and a FNV-1a checksum used
- * to detect torn journal commits.
+ * bounds-checked little-endian byte streams. Torn journal commits are
+ * detected by an FNV-1a checksum (sim::fnvBytes).
  *
  * Metadata layout on the device:
  *   block 0                      superblock
@@ -26,16 +26,6 @@ namespace bpd::fs {
 constexpr std::uint64_t kSuperMagic = 0xB09A55D0F5ull;
 constexpr std::uint64_t kCheckpointMagic = 0xC4EC9017ull;
 constexpr std::uint64_t kTxnMagic = 0x10094A1ull;
-
-/** FNV-1a 64-bit checksum. */
-inline std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t len)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < len; i++)
-        h = (h ^ data[i]) * 1099511628211ull;
-    return h;
-}
 
 /** Growable little-endian byte stream writer. */
 class ByteWriter

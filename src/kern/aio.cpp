@@ -4,25 +4,15 @@
 
 namespace bpd::kern {
 
-IoCb
-Aio::wrapRequest(const char *name, Pid pid, obs::TraceId trace, IoCb cb)
+namespace {
+
+std::uint16_t
+aioTrack(obs::Tracer &t, Pid pid)
 {
-    obs::Tracer *t = k_.tracer();
-    const Time start = k_.eq().now();
-    const std::uint16_t track
-        = t->track("libaio.p" + std::to_string(pid));
-    return [this, t, name, track, trace, start,
-            cb = std::move(cb)](long long n, IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        t->request(track, name, trace, start, k_.eq().now(), b);
-        cb(n, tr);
-    };
+    return t.track("libaio.p" + std::to_string(pid));
 }
+
+} // namespace
 
 void
 Aio::pread(Process &p, int fd, std::span<std::uint8_t> buf,
@@ -32,7 +22,8 @@ Aio::pread(Process &p, int fd, std::span<std::uint8_t> buf,
     obs::TraceId trace = 0;
     if (obs::Tracer *t = k_.tracer()) {
         trace = t->newTrace(p.pasid());
-        cb = wrapRequest("libaio.pread", p.pid(), trace, std::move(cb));
+        cb = traceRequest(*t, aioTrack(*t, p.pid()), "libaio.pread", trace,
+                          std::move(cb));
     }
     const Time extra = k_.cpu().scaled(k_.costs().aioExtraNs);
     k_.sysPread(p, fd, buf, off,
@@ -54,7 +45,8 @@ Aio::pwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
     obs::TraceId trace = 0;
     if (obs::Tracer *t = k_.tracer()) {
         trace = t->newTrace(p.pasid());
-        cb = wrapRequest("libaio.pwrite", p.pid(), trace, std::move(cb));
+        cb = traceRequest(*t, aioTrack(*t, p.pid()), "libaio.pwrite", trace,
+                          std::move(cb));
     }
     const Time extra = k_.cpu().scaled(k_.costs().aioExtraNs);
     k_.sysPwrite(p, fd, buf, off,
@@ -85,9 +77,10 @@ Aio::submitBatch(Process &p, std::vector<Op> ops, BatchCb cb)
             obs::TraceId trace = 0;
             if (obs::Tracer *t = k_.tracer()) {
                 trace = t->newTrace(p.pasid());
-                done = wrapRequest(op.write ? "libaio.pwrite"
-                                            : "libaio.pread",
-                                   p.pid(), trace, std::move(done));
+                done = traceRequest(
+                    *t, aioTrack(*t, p.pid()),
+                    op.write ? "libaio.pwrite" : "libaio.pread", trace,
+                    std::move(done));
             }
             if (op.write) {
                 k_.sysPwrite(p, op.fd,

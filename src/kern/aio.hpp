@@ -48,10 +48,6 @@ class Aio
                 std::uint64_t off, IoCb cb);
 
   private:
-    /** Emit a "libaio.*" request envelope at completion (tracing on). */
-    IoCb wrapRequest(const char *name, Pid pid, obs::TraceId trace,
-                     IoCb cb);
-
     Kernel &k_;
 };
 

@@ -60,18 +60,8 @@ IoUring::doIo(bool write, int fd, std::span<std::uint8_t> buf,
         trace = t->newTrace(p_.pasid());
         const std::uint16_t track
             = t->track("uring.p" + std::to_string(p_.pid()));
-        const char *name = write ? "uring.pwrite" : "uring.pread";
-        cb = [this, t, track, name, trace, start,
-              cb = std::move(cb)](long long res, IoTrace tr) {
-            obs::RequestBreakdown b;
-            b.userNs = tr.userNs;
-            b.kernelNs = tr.kernelNs;
-            b.translateNs = tr.translateNs;
-            b.deviceNs = tr.deviceNs;
-            b.bytes = res > 0 ? static_cast<std::uint64_t>(res) : 0;
-            t->request(track, name, trace, start, k_.eq().now(), b);
-            cb(res, tr);
-        };
+        cb = traceRequest(*t, track, write ? "uring.pwrite" : "uring.pread",
+                          trace, std::move(cb));
     }
 
     const std::uint64_t n
@@ -132,8 +122,8 @@ IoUring::doIo(bool write, int fd, std::span<std::uint8_t> buf,
             cb(errOf(st), IoTrace{});
             return;
         }
-        k_.deviceIo(write ? ssd::Op::Write : ssd::Op::Read, segs,
-                    buf.subspan(0, n),
+        k_.deviceIo(write ? ssd::Op::Write : ssd::Op::Read,
+                    std::move(segs), buf.subspan(0, n),
                     [this, node, n, start, write, tenant,
                      cb = std::move(cb)](ssd::Status dst, Time devNs) {
                         TenantScope ts(k_, tenant);

@@ -34,36 +34,55 @@ devErr(ssd::Status st)
                                                   : fs::FsStatus::Inval);
 }
 
+void
+emitRequest(obs::Tracer &t, std::uint16_t track, const char *name,
+            obs::TraceId trace, Time start, const IoTrace &tr,
+            std::uint64_t bytes)
+{
+    obs::RequestBreakdown b;
+    b.userNs = tr.userNs;
+    b.kernelNs = tr.kernelNs;
+    b.translateNs = tr.translateNs;
+    b.deviceNs = tr.deviceNs;
+    b.bytes = bytes;
+    t.request(track, name, trace, start, t.now(), b);
+}
+
+IoCb
+traceRequest(obs::Tracer &t, std::uint16_t track, const char *name,
+             obs::TraceId trace, IoCb cb)
+{
+    return [&t, track, name, trace, start = t.now(),
+            cb = std::move(cb)](long long n, IoTrace tr) {
+        emitRequest(t, track, name, trace, start, tr,
+                    n > 0 ? static_cast<std::uint64_t>(n) : 0);
+        cb(n, tr);
+    };
+}
+
 Kernel::Kernel(sim::EventQueue &eq, mem::FrameAllocator &fa,
                iommu::Iommu &iommu, fs::Vfs &vfs, ssd::NvmeDevice &dev,
                CostModel costs, KernelConfig cfg)
     : eq_(eq), fa_(fa), iommu_(iommu), vfs_(vfs), dev_(dev), costs_(costs),
       cpu_(cfg.hwThreads), pageCache_(cfg.pageCacheBytes)
 {
-    kernelQp_ = dev_.createQueuePair(kNoPasid, cfg.kernelQueueDepth,
-                                     /*vbaMode=*/false);
-    sim::panicIf(kernelQp_ == nullptr, "kernel queue creation failed");
-    kq_ = std::make_unique<ssd::CommandDispatcher>(*kernelQp_);
     kernelQueueDepth_ = cfg.kernelQueueDepth;
-    slots_.push_back(Slot{&dev_, &iommu_, 0, kq_.get()});
+    attachSlot(dev_, iommu_, 0);
 }
 
 void
 Kernel::attachSlot(ssd::NvmeDevice &dev, iommu::Iommu &iommu,
                    std::uint64_t base)
 {
-    if (slotBytes_ == 0) {
+    if (slotBytes_ == 0 && !slots_.empty()) {
         sim::panicIf(base == 0, "slot 1 must have a nonzero base");
         slotBytes_ = base;
     }
     sim::panicIf(base != slots_.size() * slotBytes_,
                  "attachSlot: non-uniform slot base");
-    ssd::QueuePair *qp
-        = dev.createQueuePair(kNoPasid, kernelQueueDepth_,
-                              /*vbaMode=*/false);
-    sim::panicIf(qp == nullptr, "kernel slot queue creation failed");
-    slotQueues_.push_back(std::make_unique<ssd::CommandDispatcher>(*qp));
-    slots_.push_back(Slot{&dev, &iommu, base, slotQueues_.back().get()});
+    auto kq = dev.openQueue(kNoPasid, kernelQueueDepth_, /*vbaMode=*/false);
+    sim::panicIf(kq == nullptr, "kernel queue creation failed");
+    slots_.push_back(Slot{&dev, &iommu, base, std::move(kq)});
     // Bind every live process into the new slot's IOMMU in pid order —
     // hot-plug rebuilds mappings deterministically.
     std::vector<Pid> pids;
@@ -126,25 +145,6 @@ Kernel::ktrack(Pid pid)
     return t;
 }
 
-IoCb
-Kernel::wrapRequest(const char *name, Pid pid, obs::TraceId trace,
-                    IoCb cb)
-{
-    const Time start = eq_.now();
-    const std::uint16_t track = ktrack(pid);
-    return [this, name, track, trace, start,
-            cb = std::move(cb)](long long n, IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        trace_->request(track, name, trace, start, eq_.now(), b);
-        cb(n, tr);
-    };
-}
-
 fs::FsStatus
 Kernel::setNamespaceRoot(Process &p, const std::string &root)
 {
@@ -169,79 +169,65 @@ Kernel::nsPath(const Process &p, const std::string &path) const
 }
 
 void
-Kernel::deviceIo(ssd::Op op, const std::vector<fs::Seg> &segs,
+Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
                  std::span<std::uint8_t> buf,
                  std::function<void(ssd::Status, Time)> cb,
                  obs::TraceId trace, TenantId tenant)
 {
-    // QoS gate: charge the tenant's token buckets before touching any
-    // device queue. An over-limit submission parks whole on the
-    // tenant's FIFO (never dropped, never reordered) and issues when
-    // the buckets refill. Flushes do not pass through deviceIo, so
-    // every call here is data-path ops/bytes.
-    if (qos_ && !segs.empty()) {
-        std::uint64_t bytes = 0;
-        for (const auto &seg : segs)
-            bytes += seg.len;
-        if (!qos_->tryAcquire(tenant, segs.size(), bytes)) {
-            qos_->park(tenant, segs.size(), bytes,
-                       [this, op, segs, buf, cb = std::move(cb), trace,
-                        tenant]() mutable {
-                           deviceIoNow(op, segs, buf, std::move(cb),
-                                       trace, tenant);
-                       });
+    // QoS: charge the tenant before touching any device queue; an
+    // over-limit I/O parks whole and issues in order on refill.
+    // Flushes do not pass through deviceIo, so every call here is
+    // data-path ops/bytes; an empty I/O is not charged.
+    std::uint64_t bytes = 0;
+    for (const auto &seg : segs)
+        bytes += seg.len;
+    const std::size_t ops = segs.size();
+    qos::admit(ops ? qos_ : nullptr, tenant, ops, bytes,
+               [this, op, segs = std::move(segs), buf, cb = std::move(cb),
+                trace, tenant]() mutable {
+        struct Agg
+        {
+            std::size_t remaining;
+            ssd::Status worst = ssd::Status::Success;
+            Time start;
+            std::function<void(ssd::Status, Time)> cb;
+        };
+        auto agg = std::make_shared<Agg>();
+        agg->remaining = segs.size();
+        agg->start = eq_.now();
+        agg->cb = std::move(cb);
+        if (segs.empty()) {
+            eq_.after(0, [agg]() { agg->cb(ssd::Status::Success, 0); });
             return;
         }
-    }
-    deviceIoNow(op, segs, buf, std::move(cb), trace, tenant);
-}
-
-void
-Kernel::deviceIoNow(ssd::Op op, const std::vector<fs::Seg> &segs,
-                    std::span<std::uint8_t> buf,
-                    std::function<void(ssd::Status, Time)> cb,
-                    obs::TraceId trace, TenantId tenant)
-{
-    struct Agg
-    {
-        std::size_t remaining;
-        ssd::Status worst = ssd::Status::Success;
-        Time start;
-        std::function<void(ssd::Status, Time)> cb;
-    };
-    auto agg = std::make_shared<Agg>();
-    agg->remaining = segs.size();
-    agg->start = eq_.now();
-    agg->cb = std::move(cb);
-    if (segs.empty()) {
-        eq_.after(0, [agg]() { agg->cb(ssd::Status::Success, 0); });
-        return;
-    }
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        // Route by volume address: the placement layer guarantees an
-        // extent never straddles a slot, so one seg is one device.
-        Slot &slot = slots_[slotOf(seg.addr)];
-        sim::panicIf(slotOf(seg.addr) != slotOf(seg.addr + seg.len - 1),
-                     "deviceIo seg straddles a device slot");
-        ssd::Command cmd;
-        cmd.op = op;
-        cmd.addr = seg.addr - slot.base;
-        cmd.addrIsVba = false;
-        cmd.len = static_cast<std::uint32_t>(seg.len);
-        cmd.hostBuf = buf.subspan(off, seg.len);
-        cmd.trace = trace;
-        cmd.tenant = tenant;
-        off += seg.len;
-        const bool ok = slot.kq->submit(cmd, [this, agg](
-                                             const ssd::Completion &c) {
-            if (c.status != ssd::Status::Success)
-                agg->worst = c.status;
-            if (--agg->remaining == 0)
-                agg->cb(agg->worst, eq_.now() - agg->start);
-        });
-        sim::panicIf(!ok, "kernel queue overflow");
-    }
+        std::uint64_t off = 0;
+        for (const auto &seg : segs) {
+            // Route by volume address: the placement layer guarantees
+            // an extent never straddles a slot, so one seg is one
+            // device.
+            Slot &slot = slots_[slotOf(seg.addr)];
+            sim::panicIf(slotOf(seg.addr)
+                             != slotOf(seg.addr + seg.len - 1),
+                         "deviceIo seg straddles a device slot");
+            ssd::Command cmd;
+            cmd.op = op;
+            cmd.addr = seg.addr - slot.base;
+            cmd.addrIsVba = false;
+            cmd.len = static_cast<std::uint32_t>(seg.len);
+            cmd.hostBuf = buf.subspan(off, seg.len);
+            cmd.trace = trace;
+            cmd.tenant = tenant;
+            off += seg.len;
+            const bool ok = slot.kq->submit(
+                cmd, [this, agg](const ssd::Completion &c) {
+                    if (c.status != ssd::Status::Success)
+                        agg->worst = c.status;
+                    if (--agg->remaining == 0)
+                        agg->cb(agg->worst, eq_.now() - agg->start);
+                });
+            sim::panicIf(!ok, "kernel queue overflow");
+        }
+    });
 }
 
 void
@@ -312,7 +298,8 @@ Kernel::sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
     noteSyscall(p);
     if (trace_ && trace == 0) {
         trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.pread", p.pid(), trace, std::move(cb));
+        cb = traceRequest(*trace_, ktrack(p.pid()), "sync.pread", trace,
+                          std::move(cb));
     }
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenRead)) {
@@ -336,7 +323,8 @@ Kernel::sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
     noteSyscall(p);
     if (trace_ && trace == 0) {
         trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.pwrite", p.pid(), trace, std::move(cb));
+        cb = traceRequest(*trace_, ktrack(p.pid()), "sync.pwrite", trace,
+                          std::move(cb));
     }
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenWrite)) {
@@ -439,7 +427,7 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
             target = std::span<std::uint8_t>(*bounce);
         }
         deviceIo(
-            ssd::Op::Read, segs, target,
+            ssd::Op::Read, std::move(segs), target,
             [this, buf, off, n, aStart, bounce, start, pid, tenant, trace,
              &ino, cb = std::move(cb)](ssd::Status dst, Time devNs) {
                 if (bounce) {
@@ -565,7 +553,7 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         };
 
         if (aligned) {
-            deviceIo(ssd::Op::Write, segs, unconst(buf),
+            deviceIo(ssd::Op::Write, std::move(segs), unconst(buf),
                      std::move(finish), trace, tenant);
             return;
         }
@@ -573,26 +561,25 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         // kernel bounce buffer.
         auto bounce = std::make_shared<std::vector<std::uint8_t>>(
             aEnd - aStart);
-        deviceIo(
-            ssd::Op::Read, segs, std::span<std::uint8_t>(*bounce),
-            [this, segs, bounce, buf, off, n, aStart, trace, tenant,
-             finish = std::move(finish)](ssd::Status rst,
-                                         Time rdevNs) mutable {
-                if (rst != ssd::Status::Success) {
-                    finish(rst, rdevNs);
-                    return;
-                }
-                std::memcpy(bounce->data() + (off - aStart),
-                            buf.data(), n);
-                deviceIo(ssd::Op::Write, segs,
-                         std::span<std::uint8_t>(*bounce),
-                         [bounce, rdevNs, finish = std::move(finish)](
-                             ssd::Status wst, Time wdevNs) {
-                             finish(wst, rdevNs + wdevNs);
-                         },
-                         trace, tenant);
-            },
-            trace, tenant);
+        auto write = [this, segs, bounce, buf, off, n, aStart, trace,
+                      tenant, finish = std::move(finish)](
+                         ssd::Status rst, Time rdevNs) mutable {
+            if (rst != ssd::Status::Success) {
+                finish(rst, rdevNs);
+                return;
+            }
+            std::memcpy(bounce->data() + (off - aStart), buf.data(), n);
+            deviceIo(ssd::Op::Write, std::move(segs),
+                     std::span<std::uint8_t>(*bounce),
+                     [bounce, rdevNs, finish = std::move(finish)](
+                         ssd::Status wst, Time wdevNs) {
+                         finish(wst, rdevNs + wdevNs);
+                     },
+                     trace, tenant);
+        };
+        deviceIo(ssd::Op::Read, std::move(segs),
+                 std::span<std::uint8_t>(*bounce), std::move(write), trace,
+                 tenant);
     });
 }
 
@@ -687,7 +674,7 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
                         auto keep = std::make_shared<
                             std::unique_ptr<fs::PageCache::Page>>(
                             std::move(evicted));
-                        deviceIo(ssd::Op::Write, vsegs,
+                        deviceIo(ssd::Op::Write, std::move(vsegs),
                                  std::span<std::uint8_t>(
                                      (*keep)->data.data(), kBlockBytes),
                                  [keep](ssd::Status, Time) {}, 0, vt);
@@ -707,7 +694,7 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
                                                  kBlockBytes, &segs);
             sim::panicIf(st != fs::FsStatus::Ok,
                          "mapped page failed mapRange");
-            deviceIo(ssd::Op::Read, segs,
+            deviceIo(ssd::Op::Read, std::move(segs),
                      std::span<std::uint8_t>(scratch->data(), kBlockBytes),
                      [installPage](ssd::Status, Time) { installPage(); },
                      trace, tenant);
@@ -773,7 +760,7 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
                     auto keep = std::make_shared<
                         std::unique_ptr<fs::PageCache::Page>>(
                         std::move(evicted));
-                    deviceIo(ssd::Op::Write, vsegs,
+                    deviceIo(ssd::Op::Write, std::move(vsegs),
                              std::span<std::uint8_t>((*keep)->data.data(),
                                                      kBlockBytes),
                              [keep](ssd::Status, Time) {}, 0, vt);
@@ -811,7 +798,7 @@ Kernel::writebackDirty(fs::Inode &ino, std::function<void(Time)> done)
             continue;
         }
         // Each page is billed to the tenant that last touched it.
-        deviceIo(ssd::Op::Write, segs,
+        deviceIo(ssd::Op::Write, std::move(segs),
                  std::span<std::uint8_t>(page->data.data(), kBlockBytes),
                  [this, remaining, start, done](ssd::Status, Time) {
                      if (--*remaining == 0)
@@ -843,7 +830,7 @@ Kernel::sysFsync(Process &p, int fd, IntCb cb)
             ssd::Command cmd;
             cmd.op = ssd::Op::Flush;
             cmd.tenant = tenant;
-            const bool ok = kq_->submit(
+            const bool ok = slots_[0].kq->submit(
                 cmd, [this, node, tenant, cb = std::move(cb)](
                          const ssd::Completion &) {
                     TenantScope ts(*this, tenant);
@@ -993,7 +980,8 @@ Kernel::appendPath(Process &p, fs::Inode &ino,
     noteSyscall(p);
     if (trace_ && trace == 0) {
         trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.append", p.pid(), trace, std::move(cb));
+        cb = traceRequest(*trace_, ktrack(p.pid()), "sync.append", trace,
+                          std::move(cb));
     }
     // Appends route through the kernel: allocate, update metadata, attach
     // new FTEs, then write directly to the device without buffering

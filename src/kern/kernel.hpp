@@ -63,6 +63,17 @@ struct IoTrace
 
 /** Data-op completion: byte count (or negative FsStatus) + attribution. */
 using IoCb = std::function<void(long long, IoTrace)>;
+
+/** Emit every engine's request envelope: span @p name over
+ *  [@p start, now] carrying @p tr's per-layer split and @p bytes. */
+void emitRequest(obs::Tracer &t, std::uint16_t track, const char *name,
+                 obs::TraceId trace, Time start, const IoTrace &tr,
+                 std::uint64_t bytes);
+
+/** Wrap @p cb to emit envelope @p name, starting now, when it fires
+ *  (a negative result carries 0 bytes). */
+IoCb traceRequest(obs::Tracer &t, std::uint16_t track, const char *name,
+                  obs::TraceId trace, IoCb cb);
 /** Metadata-op completion: 0/fd or negative FsStatus. */
 using IntCb = std::function<void(int)>;
 
@@ -194,7 +205,6 @@ class Kernel
     iommu::Iommu &iommu() { return iommu_; }
     fs::Vfs &vfs() { return vfs_; }
     ssd::NvmeDevice &device() { return dev_; }
-    ssd::CommandDispatcher &dispatcher() { return *kq_; }
     CostModel &costs() { return costs_; }
     CpuModel &cpu() { return cpu_; }
     fs::PageCache &pageCache() { return pageCache_; }
@@ -204,10 +214,11 @@ class Kernel
 
     /** @name Device slots (multi-device volume)
      * The constructor's device is slot 0 at volume base 0. Each
-     * attachSlot() call adds the next slot: a kernel queue pair +
-     * dispatcher on that device, PASID bindings in its IOMMU for every
-     * live process (bound in pid order — deterministic), and a volume
-     * base that deviceIo() routes by. Slot bases must be uniform
+     * attachSlot() call adds the next slot: a kernel queue pair on
+     * that device (released when the kernel is destroyed), PASID
+     * bindings in its IOMMU for every live process (bound in pid
+     * order — deterministic), and a volume base that deviceIo()
+     * routes by. Slot bases must be uniform
      * multiples of the first attached base (the slot size). With one
      * slot everything reduces exactly to the classic single-device
      * kernel.
@@ -232,7 +243,7 @@ class Kernel
      * @param cb Fires when all segments completed; passes worst status
      *           and the span of device time.
      */
-    void deviceIo(ssd::Op op, const std::vector<fs::Seg> &segs,
+    void deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
                   std::span<std::uint8_t> buf,
                   std::function<void(ssd::Status, Time)> cb,
                   obs::TraceId trace = 0,
@@ -304,12 +315,6 @@ class Kernel
                        std::uint64_t off, IoCb cb, obs::TraceId trace);
     void writebackDirty(fs::Inode &ino, std::function<void(Time)> done);
 
-    /** The ungated deviceIo body (QoS already charged or disabled). */
-    void deviceIoNow(ssd::Op op, const std::vector<fs::Seg> &segs,
-                     std::span<std::uint8_t> buf,
-                     std::function<void(ssd::Status, Time)> cb,
-                     obs::TraceId trace, TenantId tenant);
-
     /** syscalls_++ plus per-tenant attribution (same site). */
     void noteSyscall(const Process &p)
     {
@@ -320,9 +325,6 @@ class Kernel
 
     /** Interned "kern.p<pid>" track (tracer enabled only). */
     std::uint16_t ktrack(Pid pid);
-    /** Wrap @p cb to emit the request envelope span at completion. */
-    IoCb wrapRequest(const char *name, Pid pid, obs::TraceId trace,
-                     IoCb cb);
 
     sim::EventQueue &eq_;
     mem::FrameAllocator &fa_;
@@ -334,19 +336,15 @@ class Kernel
     fs::PageCache pageCache_;
     BypassdHooks *hooks_ = nullptr;
 
-    ssd::QueuePair *kernelQp_ = nullptr;
-    std::unique_ptr<ssd::CommandDispatcher> kq_;
-
-    /** One kernel-side view per device slot; slots_[0] aliases kq_. */
+    /** One kernel-side view per device slot, with its kernel queue. */
     struct Slot
     {
         ssd::NvmeDevice *dev;
         iommu::Iommu *iommu;
         std::uint64_t base;
-        ssd::CommandDispatcher *kq;
+        std::unique_ptr<ssd::CommandDispatcher> kq;
     };
     std::vector<Slot> slots_;
-    std::vector<std::unique_ptr<ssd::CommandDispatcher>> slotQueues_;
     std::uint64_t slotBytes_ = 0; //!< 0 until a second slot attaches
     std::uint32_t kernelQueueDepth_;
 

@@ -9,33 +9,23 @@ MonetadEngine::MonetadEngine(kern::Kernel &k, MonetadConfig cfg)
 {
 }
 
-MonetadEngine::~MonetadEngine()
-{
-    for (auto &[tid, tc] : threads_) {
-        if (tc.qp)
-            k_.device().destroyQueuePair(tc.qp->qid());
-    }
-}
-
 std::uint64_t
 MonetadEngine::key(Pasid pasid, BlockNo extStart)
 {
     return (static_cast<std::uint64_t>(pasid) << 40) ^ extStart;
 }
 
-MonetadEngine::ThreadCtx &
-MonetadEngine::ctx(Tid tid, kern::Process &p)
+ssd::CommandDispatcher &
+MonetadEngine::queue(Tid tid, kern::Process &p)
 {
-    ThreadCtx &tc = threads_[tid];
-    if (!tc.qp) {
+    std::unique_ptr<ssd::CommandDispatcher> &q = queues_[tid];
+    if (!q) {
         // Moneta-D hardware accepts raw block addresses from userspace
         // and checks them itself: a non-VBA queue models its channel.
-        tc.qp = k_.device().createQueuePair(p.pasid(), 256,
-                                            /*vbaMode=*/false);
-        sim::panicIf(tc.qp == nullptr, "monetad channel failed");
-        tc.disp = std::make_unique<ssd::CommandDispatcher>(*tc.qp);
+        q = k_.device().openQueue(p.pasid(), 256, /*vbaMode=*/false);
+        sim::panicIf(q == nullptr, "monetad channel failed");
     }
-    return tc;
+    return *q;
 }
 
 void
@@ -183,7 +173,7 @@ MonetadEngine::doIo(Tid tid, kern::Process &p, fs::Inode &ino, ssd::Op op,
     }
     k_.eq().after(preCost, [this, tid, &p, segs, buf, n, start,
                             op, cb = std::move(cb)]() {
-        ThreadCtx &tc = ctx(tid, p);
+        ssd::CommandDispatcher &q = queue(tid, p);
         auto remaining = std::make_shared<std::size_t>(segs.size());
         auto worst = std::make_shared<ssd::Status>(ssd::Status::Success);
         std::uint64_t soff = 0;
@@ -195,7 +185,7 @@ MonetadEngine::doIo(Tid tid, kern::Process &p, fs::Inode &ino, ssd::Op op,
             cmd.len = static_cast<std::uint32_t>(seg.len);
             cmd.hostBuf = buf.subspan(soff, seg.len);
             soff += seg.len;
-            const bool ok = tc.disp->submit(
+            const bool ok = q.submit(
                 cmd, [this, remaining, worst, n, start,
                       cb](const ssd::Completion &comp) {
                     if (comp.status != ssd::Status::Success)

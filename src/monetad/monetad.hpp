@@ -52,7 +52,6 @@ class MonetadEngine
 {
   public:
     explicit MonetadEngine(kern::Kernel &k, MonetadConfig cfg = {});
-    ~MonetadEngine();
 
     /**
      * Kernel-side: copy @p ino's extent permissions for @p p into the
@@ -99,12 +98,8 @@ class MonetadEngine
               std::span<std::uint8_t> buf, std::uint64_t off,
               bool afterMiss, kern::IoCb cb);
 
-    struct ThreadCtx
-    {
-        ssd::QueuePair *qp = nullptr;
-        std::unique_ptr<ssd::CommandDispatcher> disp;
-    };
-    ThreadCtx &ctx(Tid tid, kern::Process &p);
+    /** Thread @p tid's channel, created on first use. */
+    ssd::CommandDispatcher &queue(Tid tid, kern::Process &p);
 
     kern::Kernel &k_;
     MonetadConfig cfg_;
@@ -115,7 +110,7 @@ class MonetadEngine
 
     Time serviceStalledUntil_ = 0;
 
-    std::map<Tid, ThreadCtx> threads_;
+    std::map<Tid, std::unique_ptr<ssd::CommandDispatcher>> queues_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

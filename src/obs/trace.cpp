@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include "obs/metrics.hpp"
+#include "sim/hash.hpp"
 
 namespace bpd::obs {
 
@@ -23,13 +24,8 @@ Tracer::Tracer(const sim::EventQueue &eq, Level level,
 std::uint64_t
 replayDigest(const std::vector<ReplayRec> &ops)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; i++) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
+    std::uint64_t h = sim::kFnvSeed;
+    auto mix = [&h](std::uint64_t v) { h = sim::fnv(h, v); };
     mix(ops.size());
     for (const ReplayRec &r : ops) {
         mix(r.op);

@@ -14,11 +14,12 @@
  * FIFO and the registry drains in order as tokens accrue, scheduling
  * one deterministic drain event at the computed ready time.
  *
- * Wiring follows the obs:: null-pointer discipline: every enforcement
- * site guards on a raw `qos::Registry *` (null = disabled, one branch,
- * zero allocations — asserted by test_obs_alloc). A registry with no
- * entry for a tenant admits it unconditionally without touching any
- * state, so enabling QoS with no limits is digest-neutral.
+ * Every submission site goes through one call, qos::admit() below. It
+ * follows the obs:: null-pointer discipline: a null registry is one
+ * branch and zero allocations (asserted by test_obs_alloc). A registry
+ * with no entry for a tenant admits it unconditionally without
+ * touching any state, so enabling QoS with no limits is
+ * digest-neutral.
  *
  * Ordering invariant: once a tenant has a parked backlog, every new
  * submission parks behind it (tryAcquire refuses even when tokens are
@@ -33,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <utility>
 
 #include "common/types.hpp"
 #include "obs/tenant.hpp"
@@ -333,6 +335,22 @@ class Registry
     std::uint64_t admits_ = 0;
     std::uint64_t drains_ = 0;
 };
+
+/**
+ * The QoS gate of every submission site: run @p go inline when @p q is
+ * null or tenant @p t is admitted, else park it (it must then own what
+ * it captures) until the buckets refill. Only a park allocates.
+ */
+template <class F>
+void
+admit(Registry *q, TenantId t, std::uint64_t ops, std::uint64_t bytes,
+      F &&go)
+{
+    if (!q || q->tryAcquire(t, ops, bytes))
+        go();
+    else
+        q->park(t, ops, bytes, std::function<void()>(std::forward<F>(go)));
+}
 
 } // namespace bpd::qos
 

@@ -67,26 +67,21 @@ SpdkDriver::teardown()
     if (!initialized_)
         return;
     sim::panicIf(pendingIos_ > 0, "SPDK teardown with I/O in flight");
-    for (auto &[tid, tc] : threads_) {
-        if (tc.qp)
-            dev_.destroyQueuePair(tc.qp->qid());
-    }
-    threads_.clear();
+    queues_.clear(); // each dispatcher releases its queue pair
     dev_.releaseExclusive(owner_);
     draining_ = false;
     initialized_ = false;
 }
 
-SpdkDriver::ThreadCtx &
-SpdkDriver::ctx(Tid tid)
+ssd::CommandDispatcher &
+SpdkDriver::queue(Tid tid)
 {
-    ThreadCtx &tc = threads_[tid];
-    if (!tc.qp) {
-        tc.qp = dev_.createQueuePair(owner_, 1024, /*vbaMode=*/false);
-        sim::panicIf(tc.qp == nullptr, "SPDK queue creation failed");
-        tc.disp = std::make_unique<ssd::CommandDispatcher>(*tc.qp);
+    std::unique_ptr<ssd::CommandDispatcher> &q = queues_[tid];
+    if (!q) {
+        q = dev_.openQueue(owner_, 1024, /*vbaMode=*/false);
+        sim::panicIf(q == nullptr, "SPDK queue creation failed");
     }
-    return tc;
+    return *q;
 }
 
 void
@@ -112,81 +107,56 @@ SpdkDriver::doIo(Tid tid, ssd::Op op, DevAddr addr,
 {
     sim::panicIf(!initialized_, "SPDK I/O before init()");
     sim::panicIf(draining_, "SPDK I/O submitted during shutdown drain");
-    // QoS gate: charge the owner tenant before the submit-cost model
-    // runs. Parked I/Os count as pending so a shutdown drain waits for
-    // them; the alive guard covers a driver destroyed while parked.
-    if (qos_ && !qos_->tryAcquire(owner_, 1, buf.size())) {
-        pendingIos_++;
-        qos_->park(owner_, 1, buf.size(),
-                   [this, alive = alive_, tid, op, addr, buf,
-                    cb = std::move(cb)]() mutable {
-                       if (!*alive)
-                           return;
-                       pendingIos_--;
-                       doIoNow(tid, op, addr, buf, std::move(cb));
-                   });
-        return;
-    }
-    doIoNow(tid, op, addr, buf, std::move(cb));
-}
-
-void
-SpdkDriver::doIoNow(Tid tid, ssd::Op op, DevAddr addr,
-                    std::span<std::uint8_t> buf, kern::IoCb cb)
-{
+    // QoS: charge the owner tenant before the submit-cost model runs.
+    // An I/O counts as pending from here, parked or not, so a shutdown
+    // drain waits for parked ones too; the alive guard covers a driver
+    // destroyed while one is parked.
     pendingIos_++;
-    const Time start = eq_.now();
+    qos::admit(qos_, owner_, 1, buf.size(),
+               [this, alive = alive_, tid, op, addr, buf,
+                cb = std::move(cb)]() mutable {
+        if (!*alive)
+            return;
+        const Time start = eq_.now();
+        obs::TraceId trace = 0;
+        if (obs::Tracer *t = dev_.tracer()) {
+            trace = t->newTrace(owner_);
+            cb = kern::traceRequest(
+                *t, t->track("spdk.t" + std::to_string(tid)),
+                op == ssd::Op::Write ? "spdk.write" : "spdk.read", trace,
+                std::move(cb));
+        }
 
-    obs::TraceId trace = 0;
-    if (obs::Tracer *t = dev_.tracer()) {
-        trace = t->newTrace(owner_);
-        const std::uint16_t track
-            = t->track("spdk.t" + std::to_string(tid));
-        const char *name
-            = op == ssd::Op::Write ? "spdk.write" : "spdk.read";
-        cb = [this, t, track, name, trace, start,
-              cb = std::move(cb)](long long res, kern::IoTrace tr) {
-            obs::RequestBreakdown b;
-            b.userNs = tr.userNs;
-            b.kernelNs = tr.kernelNs;
-            b.translateNs = tr.translateNs;
-            b.deviceNs = tr.deviceNs;
-            b.bytes = res > 0 ? static_cast<std::uint64_t>(res) : 0;
-            t->request(track, name, trace, start, eq_.now(), b);
-            cb(res, tr);
-        };
-    }
-
-    const Time submitCost = cpu_.scaled(costs_.submitNs);
-    eq_.after(submitCost, [this, tid, op, addr, buf, start, trace,
-                           cb = std::move(cb)]() {
-        ThreadCtx &tc = ctx(tid);
-        ssd::Command cmd;
-        cmd.op = op;
-        cmd.addr = addr;
-        cmd.addrIsVba = false;
-        cmd.len = static_cast<std::uint32_t>(buf.size());
-        cmd.hostBuf = buf; // zero-copy: DMA straight into the caller
-        cmd.trace = trace;
-        const Time tSubmit = eq_.now();
-        const bool ok = tc.disp->submit(
-            cmd, [this, buf, start, tSubmit,
-                  cb = std::move(cb)](const ssd::Completion &comp) {
-                const Time reap = cpu_.scaled(costs_.reapNs);
-                eq_.after(reap, [this, buf, start, tSubmit, comp,
-                                 cb = std::move(cb)]() {
-                    kern::IoTrace tr;
-                    const Time total = eq_.now() - start;
-                    tr.deviceNs = comp.completeTime - tSubmit;
-                    tr.userNs = total - tr.deviceNs;
-                    pendingIos_--;
-                    cb(comp.status == ssd::Status::Success
-                           ? static_cast<long long>(buf.size())
-                           : kern::devErr(comp.status),
-                       tr);
+        const Time submitCost = cpu_.scaled(costs_.submitNs);
+        eq_.after(submitCost, [this, tid, op, addr, buf, start, trace,
+                               cb = std::move(cb)]() {
+            ssd::Command cmd;
+            cmd.op = op;
+            cmd.addr = addr;
+            cmd.addrIsVba = false;
+            cmd.len = static_cast<std::uint32_t>(buf.size());
+            cmd.hostBuf = buf; // zero-copy: DMA straight into the caller
+            cmd.trace = trace;
+            const Time tSubmit = eq_.now();
+            const bool ok = queue(tid).submit(
+                cmd, [this, buf, start, tSubmit,
+                      cb = std::move(cb)](const ssd::Completion &comp) {
+                    const Time reap = cpu_.scaled(costs_.reapNs);
+                    eq_.after(reap, [this, buf, start, tSubmit, comp,
+                                     cb = std::move(cb)]() {
+                        kern::IoTrace tr;
+                        const Time total = eq_.now() - start;
+                        tr.deviceNs = comp.completeTime - tSubmit;
+                        tr.userNs = total - tr.deviceNs;
+                        pendingIos_--;
+                        cb(comp.status == ssd::Status::Success
+                               ? static_cast<long long>(buf.size())
+                               : kern::devErr(comp.status),
+                           tr);
+                    });
                 });
-            });
-        sim::panicIf(!ok, "SPDK queue overflow");
+            sim::panicIf(!ok, "SPDK queue overflow");
+        });
     });
 }
 

@@ -79,17 +79,10 @@ class SpdkDriver
     void setQos(qos::Registry *q) { qos_ = q; }
 
   private:
-    struct ThreadCtx
-    {
-        ssd::QueuePair *qp = nullptr;
-        std::unique_ptr<ssd::CommandDispatcher> disp;
-    };
-
-    ThreadCtx &ctx(Tid tid);
+    /** Thread @p tid's queue, created on first use. */
+    ssd::CommandDispatcher &queue(Tid tid);
     void doIo(Tid tid, ssd::Op op, DevAddr addr,
               std::span<std::uint8_t> buf, kern::IoCb cb);
-    void doIoNow(Tid tid, ssd::Op op, DevAddr addr,
-                 std::span<std::uint8_t> buf, kern::IoCb cb);
     void scheduleDrainPoll();
     void teardown();
 
@@ -103,7 +96,7 @@ class SpdkDriver
     std::uint64_t pendingIos_ = 0; //!< submitted, not yet reaped
     /** Cancels queued drain polls if the driver is destroyed first. */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    std::map<Tid, ThreadCtx> threads_;
+    std::map<Tid, std::unique_ptr<ssd::CommandDispatcher>> queues_;
     qos::Registry *qos_ = nullptr;
 };
 

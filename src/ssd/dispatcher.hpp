@@ -1,8 +1,9 @@
 /**
  * @file
- * Per-queue command dispatcher: assigns command ids and routes push-style
- * completions back to per-command callbacks. Shared by the kernel driver,
- * UserLib and the SPDK baseline.
+ * Per-queue command dispatcher: owns one queue pair, assigns command ids
+ * and routes push-style completions back to per-command callbacks. Every
+ * engine (kernel driver, UserLib, SPDK, fabric target, Moneta-D, VMM)
+ * holds its queues through one, from NvmeDevice::openQueue().
  */
 
 #ifndef BPD_SSD_DISPATCHER_HPP
@@ -21,6 +22,7 @@ class CommandDispatcher
   public:
     using CompletionFn = std::function<void(const Completion &)>;
 
+    /** Take ownership of @p qp and route its completions. */
     explicit CommandDispatcher(QueuePair &qp) : qp_(qp)
     {
         qp_.setCompletionHook([this](const Completion &c) {
@@ -32,6 +34,21 @@ class CommandDispatcher
             fn(c);
         });
     }
+
+    /**
+     * Detach the completion hook, then release the queue. A queue with
+     * commands in flight is released only once they drain
+     * (NvmeDevice::destroyQueuePair); detaching first sends those
+     * completions to the CQ instead of into this freed dispatcher.
+     */
+    ~CommandDispatcher()
+    {
+        qp_.setCompletionHook(nullptr);
+        qp_.dev_.destroyQueuePair(qp_.qid());
+    }
+
+    CommandDispatcher(const CommandDispatcher &) = delete;
+    CommandDispatcher &operator=(const CommandDispatcher &) = delete;
 
     QueuePair &queue() { return qp_; }
 

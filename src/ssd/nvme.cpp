@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "qos/qos.hpp"
 #include "sim/logging.hpp"
+#include "ssd/dispatcher.hpp"
 
 namespace bpd::ssd {
 
@@ -86,21 +87,27 @@ NvmeDevice::createQueuePair(Pasid pasid, std::uint32_t depth, bool vbaMode)
     return raw;
 }
 
-QueuePair *
-NvmeDevice::createVfQueuePair(Pasid pasid, std::uint32_t depth,
-                              bool vbaMode, DevAddr base,
-                              std::uint64_t bytes)
+std::unique_ptr<CommandDispatcher>
+NvmeDevice::openQueue(Pasid pasid, std::uint32_t depth, bool vbaMode)
+{
+    QueuePair *qp = createQueuePair(pasid, depth, vbaMode);
+    return qp ? std::make_unique<CommandDispatcher>(*qp) : nullptr;
+}
+
+std::unique_ptr<CommandDispatcher>
+NvmeDevice::openQueue(Pasid pasid, std::uint32_t depth, bool vbaMode,
+                      DevAddr base, std::uint64_t bytes)
 {
     sim::panicIf(base % kBlockBytes != 0 || bytes % kBlockBytes != 0,
                  "VF partition must be block aligned");
     sim::panicIf(base + bytes > store_.capacity(),
                  "VF partition exceeds device");
-    QueuePair *qp = createQueuePair(pasid, depth, vbaMode);
-    if (qp) {
-        qp->partBase_ = base;
-        qp->partBytes_ = bytes;
+    auto q = openQueue(pasid, depth, vbaMode);
+    if (q) {
+        q->queue().partBase_ = base;
+        q->queue().partBytes_ = bytes;
     }
-    return qp;
+    return q;
 }
 
 void

@@ -138,9 +138,11 @@ struct Completion
 };
 
 class NvmeDevice;
+class CommandDispatcher;
 
 /**
- * One SQ/CQ pair. Created by NvmeDevice; owned by it; referenced by users.
+ * One SQ/CQ pair. Created by NvmeDevice and owned by it; released
+ * through the CommandDispatcher that routes its completions.
  */
 class QueuePair
 {
@@ -201,6 +203,7 @@ class QueuePair
 
   private:
     friend class NvmeDevice;
+    friend class CommandDispatcher;
 
     QueuePair(NvmeDevice &dev, std::uint16_t qid, Pasid pasid,
               std::uint32_t depth, bool vbaMode);
@@ -247,26 +250,31 @@ class NvmeDevice
     BlockStore &store() { return store_; }
 
     /**
-     * Create a queue pair.
+     * Open a queue pair and return the dispatcher that owns it; the
+     * queue is released when the dispatcher is destroyed.
      * @param pasid Owning process address-space id (0 = kernel).
      * @param depth SQ depth.
      * @param vbaMode Whether commands may carry VBAs.
-     * @return Queue, or nullptr when the device is claimed by another
-     *         owner or queue limit reached.
+     * @return Null when the device is claimed by another owner.
+     */
+    std::unique_ptr<CommandDispatcher>
+    openQueue(Pasid pasid, std::uint32_t depth, bool vbaMode);
+
+    /**
+     * VF form: the queue is confined to partition [base, base+bytes)
+     * (Section 5.2: SR-IOV / Scalable-IOV block-level isolation).
+     */
+    std::unique_ptr<CommandDispatcher>
+    openQueue(Pasid pasid, std::uint32_t depth, bool vbaMode,
+              DevAddr base, std::uint64_t bytes);
+
+    /**
+     * Create a bare queue pair (nullptr when claimed by another owner).
+     * Wrap it in a CommandDispatcher to route completions per command
+     * and to release it; openQueue() does both.
      */
     QueuePair *createQueuePair(Pasid pasid, std::uint32_t depth,
                                bool vbaMode);
-
-    /**
-     * Create a queue confined to a VF partition [base, base+bytes)
-     * (Section 5.2: SR-IOV / Scalable-IOV block-level isolation).
-     */
-    QueuePair *createVfQueuePair(Pasid pasid, std::uint32_t depth,
-                                 bool vbaMode, DevAddr base,
-                                 std::uint64_t bytes);
-
-    /** Destroy a queue pair (outstanding commands complete first). */
-    void destroyQueuePair(std::uint16_t qid);
 
     /**
      * Claim the device exclusively (SPDK-style: unbinds everyone else).
@@ -336,6 +344,10 @@ class NvmeDevice
 
   private:
     friend class QueuePair;
+    friend class CommandDispatcher;
+
+    /** Destroy a queue pair (outstanding commands complete first). */
+    void destroyQueuePair(std::uint16_t qid);
 
     /** A command that finished translation and awaits a media unit. */
     struct MediaJob

@@ -12,10 +12,9 @@ VmGuest::VmGuest(sys::System &host, DevAddr base, std::uint64_t bytes,
 {
     guestPt_ = std::make_unique<mem::PageTable>(host_.frames);
     host_.iommu.bindPasid(pasid_, guestPt_.get());
-    qp_ = host_.dev.createVfQueuePair(pasid_, 256, /*vbaMode=*/true,
-                                      base_, bytes_);
-    sim::panicIf(qp_ == nullptr, "VF queue creation failed");
-    disp_ = std::make_unique<ssd::CommandDispatcher>(*qp_);
+    disp_ = host_.dev.openQueue(pasid_, 256, /*vbaMode=*/true, base_,
+                                bytes_);
+    sim::panicIf(disp_ == nullptr, "VF queue creation failed");
     dmaBuf_.assign(1 << 20, 0);
     host_.iommu.mapDma(pasid_, 0x9000000,
                        std::span<std::uint8_t>(dmaBuf_), true);
@@ -53,55 +52,47 @@ void
 VmGuest::read(Vaddr vba, std::span<std::uint8_t> buf, std::uint64_t off,
               kern::IoCb cb)
 {
-    ssd::Command cmd;
-    cmd.op = ssd::Op::Read;
-    cmd.addr = vba + off;
-    cmd.addrIsVba = true;
-    cmd.len = static_cast<std::uint32_t>(buf.size());
-    cmd.dmaIova = 0x9000000;
-    cmd.useIova = true;
-    const Time start = host_.eq.now();
-    const bool ok = disp_->submit(
-        cmd, [this, buf, start, cb = std::move(cb)](
-                 const ssd::Completion &comp) {
-            kern::IoTrace tr;
-            tr.deviceNs = comp.completeTime - start;
-            tr.translateNs = comp.translateNs;
-            if (comp.status != ssd::Status::Success) {
-                cb(kern::errOf(fs::FsStatus::Access), tr);
-                return;
-            }
-            std::memcpy(buf.data(), dmaBuf_.data(), buf.size());
-            cb(static_cast<long long>(buf.size()), tr);
-        });
-    sim::panicIf(!ok, "VF queue overflow");
+    io(ssd::Op::Read, vba + off, buf, std::move(cb));
 }
 
 void
 VmGuest::write(Vaddr vba, std::span<const std::uint8_t> buf,
                std::uint64_t off, kern::IoCb cb)
 {
+    sim::panicIf(buf.size() > dmaBuf_.size(), "request exceeds DMA buffer");
     std::memcpy(dmaBuf_.data(), buf.data(), buf.size());
+    io(ssd::Op::Write, vba + off,
+       {const_cast<std::uint8_t *>(buf.data()), buf.size()},
+       std::move(cb));
+}
+
+void
+VmGuest::io(ssd::Op op, Vaddr vba, std::span<std::uint8_t> buf,
+            kern::IoCb cb)
+{
     ssd::Command cmd;
-    cmd.op = ssd::Op::Write;
-    cmd.addr = vba + off;
+    cmd.op = op;
+    cmd.addr = vba;
     cmd.addrIsVba = true;
     cmd.len = static_cast<std::uint32_t>(buf.size());
     cmd.dmaIova = 0x9000000;
     cmd.useIova = true;
     const Time start = host_.eq.now();
-    const bool ok = disp_->submit(
-        cmd, [start, n = buf.size(), cb = std::move(cb)](
-                 const ssd::Completion &comp) {
-            kern::IoTrace tr;
-            tr.deviceNs = comp.completeTime - start;
-            if (comp.status != ssd::Status::Success) {
-                cb(kern::errOf(fs::FsStatus::Access), tr);
-                return;
-            }
-            cb(static_cast<long long>(n), tr);
-        });
-    sim::panicIf(!ok, "VF queue overflow");
+    submitRaw(cmd, [this, op, buf, start, cb = std::move(cb)](
+                       const ssd::Completion &comp) {
+        const bool read = op == ssd::Op::Read;
+        kern::IoTrace tr;
+        tr.deviceNs = comp.completeTime - start;
+        if (read) // writes overlap translation with data-in
+            tr.translateNs = comp.translateNs;
+        if (comp.status != ssd::Status::Success) {
+            cb(kern::errOf(fs::FsStatus::Access), tr);
+            return;
+        }
+        if (read)
+            std::memcpy(buf.data(), dmaBuf_.data(), buf.size());
+        cb(static_cast<long long>(buf.size()), tr);
+    });
 }
 
 void
@@ -123,7 +114,7 @@ VmmManager::VmmManager(sys::System &host)
 VmmManager::~VmmManager()
 {
     for (auto &vm : vms_) {
-        host_.dev.destroyQueuePair(vm->qp_->qid());
+        vm->disp_.reset(); // releases the VF queue pair
         host_.iommu.unmapDma(vm->guestPasid(), 0x9000000);
         host_.iommu.unbindPasid(vm->guestPasid());
     }

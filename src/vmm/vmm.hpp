@@ -68,6 +68,10 @@ class VmGuest
     VmGuest(sys::System &host, DevAddr base, std::uint64_t bytes,
             Pasid pasid);
 
+    /** Submit a data command on the VF queue, staged through dmaBuf_. */
+    void io(ssd::Op op, Vaddr vba, std::span<std::uint8_t> buf,
+            kern::IoCb cb);
+
     sys::System &host_;
     DevAddr base_;
     std::uint64_t bytes_;
@@ -76,8 +80,7 @@ class VmGuest
     std::unique_ptr<mem::PageTable> guestPt_;
     Vaddr nextVba_ = 0x40000000;
 
-    ssd::QueuePair *qp_ = nullptr;
-    std::unique_ptr<ssd::CommandDispatcher> disp_;
+    std::unique_ptr<ssd::CommandDispatcher> disp_; //!< owns the VF queue
     std::vector<std::uint8_t> dmaBuf_;
 };
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hpp"
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "sim/sim_executor.hpp"
 #include "system/fleet.hpp"
@@ -30,16 +31,6 @@ using namespace bpd;
 using namespace bpd::sim;
 
 namespace {
-
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::uint64_t
 digestFio(std::uint64_t h, const wl::FioResult &r)
@@ -80,7 +71,7 @@ runMixedWorkload(std::uint64_t seed, int traceLevel = 0,
     }
     wl::FioRunner runner(s);
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvSeed;
     const wl::Engine engines[] = {wl::Engine::Sync, wl::Engine::Bypassd};
     const wl::RwMode modes[] = {wl::RwMode::RandWrite, wl::RwMode::RandRead};
     int jobNum = 0;
@@ -150,7 +141,7 @@ runMiniFleet(unsigned shards)
     fleet.start(horizon);
     fleet.run();
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvSeed;
     for (unsigned i = 0; i < fleet.size(); i++) {
         h = digestFio(h, runners[i]->collect(std::move(pending[i])));
         h = fnv(h, fleet.system(i).now());

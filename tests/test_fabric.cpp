@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "fabric/target.hpp"
 #include "helpers.hpp"
 #include "qos/qos.hpp"
+#include "sim/hash.hpp"
 #include "sim/logging.hpp"
 #include "system/fleet.hpp"
 #include "system/placement.hpp"
@@ -30,15 +32,7 @@
 namespace bpd {
 namespace {
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+using sim::fnv;
 
 sys::SystemConfig
 smallSystem(std::uint64_t seed)
@@ -120,17 +114,24 @@ struct Net
     bool
     connectAll()
     {
-        unsigned acked = 0;
-        bool allOk = true;
+        // One record per client: at several shards the acks run on
+        // different threads, so they must not share a counter.
+        struct Ack
+        {
+            unsigned n = 0;
+            bool ok = true;
+        };
+        std::vector<Ack> acks(inis.size());
         for (unsigned i = 0; i < inis.size(); i++)
             inis[i]->connect(static_cast<Pasid>(100 + i),
-                             [&](fab::ConnectStatus st) {
-                                 acked++;
-                                 allOk = allOk
-                                         && st == fab::ConnectStatus::Ok;
+                             [&a = acks[i]](fab::ConnectStatus st) {
+                                 a.n++;
+                                 a.ok = a.ok && st == fab::ConnectStatus::Ok;
                              });
         exec.run();
-        return acked == inis.size() && allOk;
+        return std::all_of(acks.begin(), acks.end(), [](const Ack &a) {
+            return a.n == 1 && a.ok;
+        });
     }
 };
 
@@ -464,7 +465,7 @@ runTracedOrNot(bool traced, std::vector<std::string> *spanNames)
     net.exec.run();
 
     const auto &st = net.ini().stats();
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     h = fnv(h, st.reads);
     h = fnv(h, st.writes);
     h = fnv(h, st.inCapsuleWrites);
@@ -574,7 +575,7 @@ runMiniFabricFleet(unsigned shards)
     fleet.start(horizon);
     fleet.run();
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     for (std::size_t i = 0; i < runners.size(); i++) {
         h = digestFio(h, runners[i]->collect(std::move(pending[i])));
         h = fnv(h, inis[i]->stats().reads);
@@ -827,20 +828,22 @@ runIncastBurst(unsigned shards, std::uint32_t reactors)
     EXPECT_TRUE(net.connectAll());
     std::vector<std::vector<std::uint8_t>> bufs(
         4, std::vector<std::uint8_t>(4096));
-    unsigned done = 0;
+    // One counter per client: each is touched only from its client's
+    // domain, and at 4 shards those domains run on different threads.
+    std::vector<unsigned> done(4, 0);
     for (unsigned c = 0; c < 4; c++)
         for (unsigned i = 0; i < 32; i++)
             net.ini(c).read(0,
                             (static_cast<DevAddr>(c) * 64 + i) * 4096,
                             bufs[c],
-                            [&done](long long n, kern::IoTrace) {
+                            [&d = done[c]](long long n, kern::IoTrace) {
                                 EXPECT_EQ(n, 4096);
-                                done++;
+                                d++;
                             });
     net.exec.run();
-    EXPECT_EQ(done, 4u * 32u);
+    EXPECT_EQ(std::accumulate(done.begin(), done.end(), 0u), 4u * 32u);
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     Time maxLat = 0;
     for (unsigned c = 0; c < 4; c++) {
         const auto &st = net.ini(c).stats();

@@ -161,18 +161,24 @@ TEST(ObsAlloc, TenantScopedCounterHandlesDoNotAllocateOnIncrement)
 
 TEST(ObsAlloc, QosAdmitPathAddsZeroAllocations)
 {
-    // The QoS gates follow the same null-pointer discipline: a null
+    // The QoS gate follows the same null-pointer discipline: a null
     // registry is one branch, and an enabled registry must admit
-    // unlimited tenants — absent, or present weight-only — without
-    // allocating. Only park() (the throttled slow path) may allocate.
+    // unlimited tenants — absent, or present weight-only — and capped
+    // tenants under their cap without allocating. qos::admit runs the
+    // continuation inline on all of these; only a park (the throttled
+    // slow path) may allocate.
     sim::EventQueue eq;
     qos::Registry reg(eq);
     qos::TenantLimit lim;
     lim.weight = 4; // weight-only: shapes dispatch, never rate-limits
     reg.setLimit(7, lim);
+    qos::TenantLimit cap;
+    cap.iopsLimit = 1'000'000'000; // 1M-op bucket: never runs dry here
+    reg.setLimit(8, cap);
     qos::Registry *volatile qosSlot = &reg;
     std::uint64_t admitted = 0;
     std::uint32_t weightSum = 0;
+    auto go = [&admitted] { admitted++; };
 
     reg.tryAcquire(7, 1, 4096); // settle any lazy storage
 
@@ -185,11 +191,15 @@ TEST(ObsAlloc, QosAdmitPathAddsZeroAllocations)
                 admitted++;
             weightSum += q->weightOf(7);
         }
+        qos::admit(nullptr, 7, 1, 4096, go);
+        qos::admit(qosSlot, 9, 1, 4096, go); // unregistered tenant
+        qos::admit(qosSlot, 8, 1, 4096, go); // capped, under its cap
     }
     const std::uint64_t after = g_allocCount.load();
 
     EXPECT_EQ(after - before, 0u)
         << "QoS admit path allocated on the hot path";
-    EXPECT_EQ(admitted, 200000u);
+    EXPECT_EQ(admitted, 500000u);
+    EXPECT_EQ(reg.throttles(), 0u);
     EXPECT_EQ(weightSum, 400000u);
 }

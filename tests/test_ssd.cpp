@@ -86,19 +86,25 @@ struct DevFixture : ::testing::Test
     }
 
     Completion
-    runOne(QueuePair *qp, const Command &cmd)
+    runOne(CommandDispatcher &disp, const Command &cmd)
     {
         Completion out;
         bool done = false;
-        CommandDispatcher disp(*qp);
         disp.submit(cmd, [&](const Completion &c) {
             out = c;
             done = true;
         });
         eq.run();
         EXPECT_TRUE(done);
-        qp->setCompletionHook(nullptr);
         return out;
+    }
+
+    /** Run one command on @p qp, then release the queue. */
+    Completion
+    runOne(QueuePair *qp, const Command &cmd)
+    {
+        CommandDispatcher disp(*qp);
+        return runOne(disp, cmd);
     }
 };
 
@@ -371,7 +377,7 @@ TEST_F(DevFixture, FlushWaitsForPriorWrites)
 
 TEST_F(DevFixture, ExclusiveClaimDisablesOthers)
 {
-    QueuePair *kernelQ = dev->createQueuePair(kNoPasid, 32, false);
+    CommandDispatcher kernelQ(*dev->createQueuePair(kNoPasid, 32, false));
     ASSERT_TRUE(dev->claimExclusive(77));
     EXPECT_FALSE(dev->claimExclusive(88));
     // Kernel queue is disabled while claimed.
@@ -388,6 +394,36 @@ TEST_F(DevFixture, ExclusiveClaimDisablesOthers)
     EXPECT_NE(dev->createQueuePair(77, 32, false), nullptr);
     dev->releaseExclusive(77);
     EXPECT_EQ(runOne(kernelQ, cmd).status, Status::Success);
+}
+
+TEST_F(DevFixture, DispatcherDestroyedWithCommandInFlight)
+{
+    // Releasing a queue with a command in flight defers the release
+    // until the command drains. The dispatcher detaches its hook
+    // first, so the late completion lands in the dying queue's CQ,
+    // never in the freed dispatcher (ASan would flag the access).
+    std::vector<std::uint8_t> buf(4096);
+    Command cmd;
+    cmd.op = Op::Read;
+    cmd.addr = 0;
+    cmd.len = 4096;
+    cmd.hostBuf = buf;
+    bool called = false;
+    auto disp = dev->openQueue(kNoPasid, 32, false);
+    ASSERT_NE(disp, nullptr);
+    ASSERT_TRUE(disp->submit(cmd, [&called](const Completion &) {
+        called = true;
+    }));
+    eq.runUntil(prof.cmdFetchNs); // fetched: on the device, in flight
+    ASSERT_EQ(disp->queue().inflight(), 1u);
+    disp.reset();
+    eq.run();
+    EXPECT_FALSE(called);
+    EXPECT_EQ(dev->totalOps(), 1u);
+    EXPECT_EQ(dev->busyUnits(), 0u);
+    // The device is intact: a fresh queue still completes I/O.
+    EXPECT_EQ(runOne(dev->createQueuePair(kNoPasid, 32, false), cmd).status,
+              Status::Success);
 }
 
 TEST_F(DevFixture, QueueDepthBackpressure)

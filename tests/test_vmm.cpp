@@ -100,6 +100,16 @@ TEST_F(VmmFixture, GuestCannotMapBeyondPartition)
     EXPECT_EQ(vmWrite(vm1, vba, data, 0).n, 4096);
 }
 
+TEST_F(VmmFixture, WriteLargerThanDmaBufferPanics)
+{
+    // The guest stages writes through its 1 MiB DMA buffer; a larger
+    // request must be refused before the copy, not overrun the heap.
+    const Vaddr vba = vm1->fmapGuestBlocks(0, 512, true);
+    std::vector<std::uint8_t> big(2 << 20, 0x5a);
+    EXPECT_DEATH(vm1->write(vba, big, 0, [](long long, kern::IoTrace) {}),
+                 "request exceeds DMA buffer");
+}
+
 TEST_F(VmmFixture, ForgedGuestFteCannotEscapePartition)
 {
     // Malicious guest kernel: FTEs with huge guest block numbers that
