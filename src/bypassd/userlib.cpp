@@ -383,7 +383,7 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
         cmd.hostBuf = std::span<std::uint8_t>(pw->data.data(),
                                               pw->data.size());
         cmd.trace = trace;
-        submit(tid, fi2->slot, cmd,
+        submit(uq(tid, fi2->slot), cmd,
                [this, fd, trace, issue, complete](
                    const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
@@ -467,29 +467,28 @@ UserLib::drainPendingWrites(int fd, std::function<void()> done)
 }
 
 void
-UserLib::submit(Tid tid, std::size_t slot, ssd::Command cmd,
-                ssd::CommandDispatcher::CompletionFn fn)
+UserLib::submit(UserQueues &q, const ssd::Command &cmd,
+                ssd::CommandDispatcher::CompletionFn &&fn)
 {
     // Data commands charge the process's token buckets exactly once
     // (the SQ-full retry loop does not re-charge); flushes are exempt,
     // since caps cover data IOPS/bytes only.
     qos::admit(cmd.op == ssd::Op::Flush ? nullptr : kernel_.qos(),
                proc_.pasid(), 1, cmd.len,
-               [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
-                   submitNow(tid, slot, cmd, std::move(fn));
+               [this, &q, cmd, fn = std::move(fn)]() mutable {
+                   submitNow(q, cmd, std::move(fn));
                });
 }
 
 void
-UserLib::submitNow(Tid tid, std::size_t slot, ssd::Command cmd,
-                   ssd::CommandDispatcher::CompletionFn fn)
+UserLib::submitNow(UserQueues &q, const ssd::Command &cmd,
+                   ssd::CommandDispatcher::CompletionFn &&fn)
 {
-    UserQueues &q = uq(tid, slot);
-    if (q.dispatcher->submit(cmd, fn))
+    if (q.dispatcher->submit(cmd, std::move(fn)))
         return;
-    // SQ full: poll and retry shortly.
-    kernel_.eq().after(500, [this, tid, slot, cmd, fn = std::move(fn)]() {
-        submitNow(tid, slot, cmd, fn);
+    // SQ full: poll and retry shortly (a refused submit leaves fn intact).
+    kernel_.eq().after(500, [this, &q, cmd, fn = std::move(fn)]() mutable {
+        submitNow(q, cmd, std::move(fn));
     });
 }
 
@@ -531,6 +530,23 @@ UserLib::handleFault(int fd, std::function<void()> retryDirect,
             fallbackKernel();
         }
     });
+}
+
+void
+UserLib::startDirect(DirectReq &&req, Time submitCost)
+{
+    const std::uint32_t ri = reqs_.acquire();
+    reqs_[ri] = std::move(req);
+    kernel_.eq().after(submitCost, [this, ri]() { directSubmit(ri); });
+}
+
+kern::IoCb
+UserLib::releaseReq(std::uint32_t ri)
+{
+    kern::IoCb cb = std::move(reqs_[ri].cb);
+    reqs_[ri].cb = nullptr;
+    reqs_.release(ri);
+    return cb;
 }
 
 void
@@ -577,69 +593,23 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
     const std::uint64_t aStart = alignDown(off, kSectorBytes);
     const std::uint64_t aEnd = alignUp(off + n, kSectorBytes);
     const std::uint32_t len = static_cast<std::uint32_t>(aEnd - aStart);
-    const std::size_t slot = fi->slot;
-    sim::panicIf(len > uq(tid, slot).dmaBuf.size(),
-                 "request exceeds DMA buffer");
+    UserQueues &q = uq(tid, fi->slot);
+    sim::panicIf(len > q.dmaBuf.size(), "request exceeds DMA buffer");
 
     directReads_++;
-    const Time submitCost = kernel_.cpu().scaled(c.userlibSubmitNs);
-    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, aStart,
-                                    len, slot, start, trace,
-                                    cb = std::move(cb)]() {
-        FileInfo *fi = info(fd);
-        if (!fi) {
-            cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
-            return;
-        }
-        ssd::Command cmd;
-        cmd.op = ssd::Op::Read;
-        cmd.addr = fi->vba + aStart;
-        cmd.addrIsVba = true;
-        cmd.len = len;
-        cmd.dmaIova = uq(tid, slot).dmaIova;
-        cmd.useIova = true;
-        cmd.trace = trace;
-        const Time tSubmit = kernel_.eq().now();
-        submit(tid, slot, cmd,
-               [this, tid, fd, buf, off, n, aStart, slot,
-                start, tSubmit, trace, cb = std::move(cb)](
-                   const ssd::Completion &comp) {
-            if (comp.status != ssd::Status::Success) {
-                handleFault(
-                    fd,
-                    [this, tid, fd, buf, off, trace, cb]() {
-                        directRead(tid, fd, buf, off, cb, trace);
-                    },
-                    [this, fd, buf, off, trace, cb]() {
-                        kernel_.sysPread(proc_, fd, buf, off, cb, trace);
-                    },
-                    trace);
-                return;
-            }
-            // Copy from the DMA buffer into the user buffer (the main
-            // user-side cost, Fig. 7).
-            const kern::CostModel &c = kernel_.costs();
-            const Time post = kernel_.cpu().scaled(c.userlibCompleteNs
-                                                   + c.copyCost(n));
-            std::memcpy(buf.data(),
-                        uq(tid, slot).dmaBuf.data() + (off - aStart), n);
-            kernel_.eq().after(post, [this, fd, n, start, tSubmit, comp,
-                                      cb = std::move(cb)]() {
-                FileInfo *fi2 = info(fd);
-                if (fi2) {
-                    // touch() is deferred to close/fsync (Section 4.4);
-                    // nothing to do per-op.
-                }
-                kern::IoTrace tr;
-                const Time total = kernel_.eq().now() - start;
-                tr.translateNs = comp.translateNs;
-                tr.deviceNs = comp.completeTime - tSubmit
-                              - comp.translateNs;
-                tr.userNs = total - tr.deviceNs - tr.translateNs;
-                cb(static_cast<long long>(n), tr);
-            });
-        });
-    });
+    startDirect({.write = false,
+                 .tid = tid,
+                 .fd = fd,
+                 .rbuf = buf,
+                 .off = off,
+                 .n = n,
+                 .aStart = aStart,
+                 .len = len,
+                 .q = &q,
+                 .start = start,
+                 .trace = trace,
+                 .cb = std::move(cb)},
+                kernel_.cpu().scaled(c.userlibSubmitNs));
 }
 
 void
@@ -652,8 +622,7 @@ UserLib::directOverwrite(Tid tid, int fd,
     const Time start = kernel_.eq().now();
     const std::uint64_t n = buf.size();
     const kern::CostModel &c = kernel_.costs();
-    const std::size_t slot = fi->slot;
-    UserQueues &q = uq(tid, slot);
+    UserQueues &q = uq(tid, fi->slot);
     sim::panicIf(n > q.dmaBuf.size(), "request exceeds DMA buffer");
 
     directWrites_++;
@@ -661,52 +630,118 @@ UserLib::directOverwrite(Tid tid, int fd,
     const Time submitCost
         = kernel_.cpu().scaled(c.userlibSubmitNs + c.copyCost(n));
     std::memcpy(q.dmaBuf.data(), buf.data(), n);
-    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, slot,
-                                    start, trace, cb = std::move(cb)]() {
-        FileInfo *fi = info(fd);
-        if (!fi) {
-            cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
-            return;
-        }
-        ssd::Command cmd;
-        cmd.op = ssd::Op::Write;
-        cmd.addr = fi->vba + off;
-        cmd.addrIsVba = true;
-        cmd.len = static_cast<std::uint32_t>(n);
-        cmd.dmaIova = uq(tid, slot).dmaIova;
-        cmd.useIova = true;
-        cmd.trace = trace;
-        const Time tSubmit = kernel_.eq().now();
-        submit(tid, slot, cmd,
-               [this, tid, fd, buf, off, n, start, tSubmit,
-                trace, cb = std::move(cb)](
-                   const ssd::Completion &comp) {
-            if (comp.status != ssd::Status::Success) {
-                handleFault(
-                    fd,
-                    [this, tid, fd, buf, off, trace, cb]() {
-                        directOverwrite(tid, fd, buf, off, cb, trace);
-                    },
-                    [this, fd, buf, off, trace, cb]() {
-                        kernel_.sysPwrite(proc_, fd, buf, off, cb, trace);
-                    },
-                    trace);
-                return;
-            }
-            const Time post
-                = kernel_.cpu().scaled(kernel_.costs().userlibCompleteNs);
-            kernel_.eq().after(post, [this, n, start, tSubmit, comp,
-                                      cb = std::move(cb)]() {
-                kern::IoTrace tr;
-                const Time total = kernel_.eq().now() - start;
-                // Writes overlap translation with data-in (Section 4.3).
-                tr.translateNs = 0;
-                tr.deviceNs = comp.completeTime - tSubmit;
-                tr.userNs = total - tr.deviceNs;
-                cb(static_cast<long long>(n), tr);
-            });
-        });
+    startDirect({.write = true,
+                 .tid = tid,
+                 .fd = fd,
+                 .wbuf = buf,
+                 .off = off,
+                 .n = n,
+                 .aStart = off,
+                 .len = static_cast<std::uint32_t>(n),
+                 .q = &q,
+                 .start = start,
+                 .trace = trace,
+                 .cb = std::move(cb)},
+                submitCost);
+}
+
+void
+UserLib::directSubmit(std::uint32_t ri)
+{
+    DirectReq &r = reqs_[ri];
+    FileInfo *fi = info(r.fd);
+    if (!fi) {
+        kern::IoCb cb = releaseReq(ri);
+        cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+        return;
+    }
+    ssd::Command cmd;
+    cmd.op = r.write ? ssd::Op::Write : ssd::Op::Read;
+    cmd.addr = fi->vba + r.aStart;
+    cmd.addrIsVba = true;
+    cmd.len = r.len;
+    cmd.dmaIova = r.q->dmaIova;
+    cmd.useIova = true;
+    cmd.trace = r.trace;
+    r.tSubmit = kernel_.eq().now();
+    submit(*r.q, cmd, [this, ri](const ssd::Completion &comp) {
+        directComplete(ri, comp);
     });
+}
+
+void
+UserLib::directComplete(std::uint32_t ri, const ssd::Completion &comp)
+{
+    DirectReq &r = reqs_[ri];
+    if (comp.status != ssd::Status::Success) {
+        // Fault recovery is the cold path: the retry and fallback
+        // closures own copies of the request, so free the slot first.
+        const bool write = r.write;
+        const Tid tid = r.tid;
+        const int fd = r.fd;
+        const std::span<std::uint8_t> rbuf = r.rbuf;
+        const std::span<const std::uint8_t> wbuf = r.wbuf;
+        const std::uint64_t off = r.off;
+        const obs::TraceId trace = r.trace;
+        kern::IoCb cb = releaseReq(ri);
+        if (write) {
+            handleFault(
+                fd,
+                [this, tid, fd, wbuf, off, trace, cb]() {
+                    directOverwrite(tid, fd, wbuf, off, cb, trace);
+                },
+                [this, fd, wbuf, off, trace, cb]() {
+                    kernel_.sysPwrite(proc_, fd, wbuf, off, cb, trace);
+                },
+                trace);
+        } else {
+            handleFault(
+                fd,
+                [this, tid, fd, rbuf, off, trace, cb]() {
+                    directRead(tid, fd, rbuf, off, cb, trace);
+                },
+                [this, fd, rbuf, off, trace, cb]() {
+                    kernel_.sysPread(proc_, fd, rbuf, off, cb, trace);
+                },
+                trace);
+        }
+        return;
+    }
+    const kern::CostModel &c = kernel_.costs();
+    Time post;
+    if (r.write) {
+        post = kernel_.cpu().scaled(c.userlibCompleteNs);
+    } else {
+        // Copy from the DMA buffer into the user buffer (the main
+        // user-side cost, Fig. 7).
+        post = kernel_.cpu().scaled(c.userlibCompleteNs + c.copyCost(r.n));
+        std::memcpy(r.rbuf.data(), r.q->dmaBuf.data() + (r.off - r.aStart),
+                    r.n);
+    }
+    r.comp = comp;
+    kernel_.eq().after(post, [this, ri]() { directDone(ri); });
+}
+
+void
+UserLib::directDone(std::uint32_t ri)
+{
+    const DirectReq &r = reqs_[ri];
+    kern::IoTrace tr;
+    const Time total = kernel_.eq().now() - r.start;
+    if (r.write) {
+        // Writes overlap translation with data-in (Section 4.3).
+        tr.translateNs = 0;
+        tr.deviceNs = r.comp.completeTime - r.tSubmit;
+    } else {
+        tr.translateNs = r.comp.translateNs;
+        tr.deviceNs = r.comp.completeTime - r.tSubmit - r.comp.translateNs;
+    }
+    tr.userNs = total - tr.deviceNs - tr.translateNs;
+    const auto n = static_cast<long long>(r.n);
+    // touch() is deferred to close/fsync (Section 4.4); nothing to do
+    // per-op.
+    kern::IoCb cb = releaseReq(ri);
+    cb(n, tr);
 }
 
 void
@@ -781,7 +816,7 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         rd.dmaIova = uq(tid, slot).dmaIova;
         rd.useIova = true;
         rd.trace = trace;
-        submit(tid, slot, rd,
+        submit(uq(tid, slot), rd,
                [this, tid, fd, data, off, aStart, len, slot,
                 start, trace,
                 finish](const ssd::Completion &comp) {
@@ -835,7 +870,7 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 wr.dmaIova = uq(tid, slot).dmaIova;
                 wr.useIova = true;
                 wr.trace = trace;
-                submit(tid, slot, wr,
+                submit(uq(tid, slot), wr,
                        [this, data, start, finish](
                            const ssd::Completion &c2) {
                     kern::IoTrace tr;
@@ -969,7 +1004,7 @@ UserLib::fsync(Tid tid, int fd, kern::IntCb cb)
         ssd::Command cmd;
         cmd.op = ssd::Op::Flush;
         cmd.addrIsVba = false;
-        submit(tid, slot, cmd,
+        submit(uq(tid, slot), cmd,
                [this, fd, cb](const ssd::Completion &) {
             kernel_.sysFsync(proc_, fd, cb);
         });

@@ -25,6 +25,7 @@
 
 #include "bypassd/module.hpp"
 #include "kern/kernel.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace bpd::bypassd {
 
@@ -203,11 +204,47 @@ class UserLib
     std::uint16_t obsTrack();
 
     /** Submit on the direct path: QoS admission, then submitNow(). */
-    void submit(Tid tid, std::size_t slot, ssd::Command cmd,
-                ssd::CommandDispatcher::CompletionFn fn);
+    void submit(UserQueues &q, const ssd::Command &cmd,
+                ssd::CommandDispatcher::CompletionFn &&fn);
     /** The SQ-full retry loop: poll every 500 ns until accepted. */
-    void submitNow(Tid tid, std::size_t slot, ssd::Command cmd,
-                   ssd::CommandDispatcher::CompletionFn fn);
+    void submitNow(UserQueues &q, const ssd::Command &cmd,
+                   ssd::CommandDispatcher::CompletionFn &&fn);
+
+    /**
+     * Per-I/O state of one direct read or aligned overwrite. Requests
+     * live in the reqs_ pool and the events and completion of an I/O
+     * capture {this, index}, so a steady-state direct I/O does not
+     * allocate. A slot is freed before the caller's callback runs.
+     */
+    struct DirectReq
+    {
+        bool write = false;
+        Tid tid = 0;
+        int fd = -1;
+        std::span<std::uint8_t> rbuf{};       //!< read destination
+        std::span<const std::uint8_t> wbuf{}; //!< overwrite source
+        std::uint64_t off = 0;
+        std::uint64_t n = 0;      //!< bytes returned to the caller
+        std::uint64_t aStart = 0; //!< device offset (sector aligned)
+        std::uint32_t len = 0;    //!< device command length
+        /** Queues are freed only in ~UserLib, so the pointer is stable. */
+        UserQueues *q = nullptr;
+        Time start = 0;
+        Time tSubmit = 0;
+        obs::TraceId trace = 0;
+        kern::IoCb cb{};
+        ssd::Completion comp{};
+    };
+
+    /** Pool @p req and run directSubmit() on it after @p submitCost. */
+    void startDirect(DirectReq &&req, Time submitCost);
+    /** Free request @p ri and hand back its callback. */
+    kern::IoCb releaseReq(std::uint32_t ri);
+    /** Stages of a pooled direct I/O: device submit, device done,
+     *  caller done. */
+    void directSubmit(std::uint32_t ri);
+    void directComplete(std::uint32_t ri, const ssd::Completion &comp);
+    void directDone(std::uint32_t ri);
 
     kern::Kernel &kernel_;
     BypassdModule &module_;
@@ -216,6 +253,7 @@ class UserLib
 
     std::map<int, FileInfo> files_;
     std::map<Tid, ThreadCtx> threads_;
+    sim::SlotPool<DirectReq> reqs_;
 
     std::uint64_t directReads_ = 0;
     std::uint64_t directWrites_ = 0;

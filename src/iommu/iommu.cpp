@@ -1,7 +1,5 @@
 #include "iommu/iommu.hpp"
 
-#include <unordered_set>
-
 #include "obs/trace.hpp"
 #include "sim/logging.hpp"
 
@@ -52,7 +50,20 @@ TransResult
 Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
                         bool isWrite, DevId requester)
 {
+    std::vector<TransSeg> segs;
+    TransResult res
+        = translateVbaSync(pasid, vba, len, isWrite, requester, segs);
+    res.segs = std::move(segs);
+    return res;
+}
+
+TransResult
+Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
+                        bool isWrite, DevId requester,
+                        std::vector<TransSeg> &segs)
+{
     TransResult res;
+    segs.clear();
     vbaTranslations_++;
     if (acct_) {
         acct_->of(pasid).iommuVbaTranslations++;
@@ -61,13 +72,16 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
 
     Time latency = profile_.pcieRoundTripNs + profile_.lookupNs;
     bool anyWalkCacheMiss = false;
-    std::unordered_set<std::uint64_t> leafLines;
+    // Distinct leaf cachelines touched. Page VAs only increase, so a
+    // line is new exactly when it differs from the previous page's.
+    unsigned leafLines = 0;
+    Vaddr lastLine = 0;
 
     auto finish = [&](Fault f) {
         res.fault = f;
         res.ok = (f == Fault::None);
         if (!res.ok) {
-            res.segs.clear();
+            segs.clear();
             vbaFaults_++;
             if (acct_) {
                 acct_->of(pasid).iommuVbaFaults++;
@@ -78,30 +92,37 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
             res.latency = static_cast<Time>(profile_.fixedVbaLatencyNs);
         } else {
             latency += profile_.leafFetchNs;
-            if (leafLines.size() > 1)
-                latency += (leafLines.size() - 1) * profile_.extraLineNs;
+            if (leafLines > 1)
+                latency += (leafLines - 1) * profile_.extraLineNs;
             if (anyWalkCacheMiss)
                 latency += 3 * profile_.upperLevelFetchNs;
             res.latency = latency;
         }
-        return res;
     };
 
-    if (len == 0)
-        return finish(Fault::NotPresent);
+    if (len == 0) {
+        finish(Fault::NotPresent);
+        return res;
+    }
 
     auto it = pasidTable_.find(pasid);
-    if (it == pasidTable_.end() || it->second == nullptr)
-        return finish(Fault::NoPasid);
+    if (it == pasidTable_.end() || it->second == nullptr) {
+        finish(Fault::NoPasid);
+        return res;
+    }
     const mem::PageTable &pt = *it->second;
 
     const Vaddr end = vba + len;
     Vaddr cur = vba;
     while (cur < end) {
         const Vaddr pageVa = cur & ~static_cast<Vaddr>(kBlockBytes - 1);
-        // Each leaf cacheline holds 8 FTEs (64 B); track distinct lines
+        // Each leaf cacheline holds 8 FTEs (64 B); count distinct lines
         // for the timing model (Fig. 5).
-        leafLines.insert(pageVa >> 15);
+        const Vaddr line = pageVa >> 15;
+        if (leafLines == 0 || line != lastLine) {
+            leafLines++;
+            lastLine = line;
+        }
 
         std::uint64_t dummy;
         if (!walkCache_.lookup(wcKey(pasid, pageVa), dummy)) {
@@ -117,14 +138,19 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
                 += w.framesRead;
         }
         res.framesRead += w.framesRead;
+        Fault fault = Fault::None;
         if (!w.present)
-            return finish(Fault::NotPresent);
-        if (!mem::isFte(w.leaf))
-            return finish(Fault::NotFte);
-        if (isWrite && !w.writable)
-            return finish(Fault::Permission);
-        if (mem::fteDevId(w.leaf) != requester)
-            return finish(Fault::DevIdMismatch);
+            fault = Fault::NotPresent;
+        else if (!mem::isFte(w.leaf))
+            fault = Fault::NotFte;
+        else if (isWrite && !w.writable)
+            fault = Fault::Permission;
+        else if (mem::fteDevId(w.leaf) != requester)
+            fault = Fault::DevIdMismatch;
+        if (fault != Fault::None) {
+            finish(fault);
+            return res;
+        }
 
         const BlockNo block = mem::fteBlock(w.leaf);
         const std::uint64_t inPage = cur - pageVa;
@@ -132,17 +158,16 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
             std::min<std::uint64_t>(end - cur, kBlockBytes - inPage));
         const DevAddr addr = block * kBlockBytes + inPage;
 
-        if (!res.segs.empty()
-            && res.segs.back().addr + res.segs.back().len == addr) {
-            res.segs.back().len += segLen;
-        } else {
-            res.segs.push_back(TransSeg{addr, segLen});
-        }
+        if (!segs.empty() && segs.back().addr + segs.back().len == addr)
+            segs.back().len += segLen;
+        else
+            segs.push_back(TransSeg{addr, segLen});
         res.pages++;
         cur += segLen;
     }
 
-    return finish(Fault::None);
+    finish(Fault::None);
+    return res;
 }
 
 void

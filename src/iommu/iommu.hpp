@@ -117,6 +117,16 @@ class Iommu
                                  bool isWrite, DevId requester);
 
     /**
+     * Allocation-free form for the device hot path: the segments go to
+     * @p segs (cleared first, left empty on a fault), whose capacity
+     * the caller reuses across commands; the result's own segs stay
+     * empty.
+     */
+    TransResult translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
+                                 bool isWrite, DevId requester,
+                                 std::vector<TransSeg> &segs);
+
+    /**
      * Invalidate cached translation state for a VBA range (issued by the
      * kernel when FTEs are detached, Section 3.6).
      */

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -135,7 +134,7 @@ class Registry
      */
     void
     park(TenantId t, std::uint64_t ops, std::uint64_t bytes,
-         std::function<void()> resume)
+         sim::InlineFunction<void()> resume)
     {
         State &s = states_[t];
         s.parked.push_back(Parked{ops, bytes, std::move(resume)});
@@ -191,7 +190,7 @@ class Registry
     {
         std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
-        std::function<void()> fn;
+        sim::InlineFunction<void()> fn; //!< move-only closures may park
     };
 
     struct State
@@ -349,7 +348,8 @@ admit(Registry *q, TenantId t, std::uint64_t ops, std::uint64_t bytes,
     if (!q || q->tryAcquire(t, ops, bytes))
         go();
     else
-        q->park(t, ops, bytes, std::function<void()>(std::forward<F>(go)));
+        q->park(t, ops, bytes,
+                sim::InlineFunction<void()>(std::forward<F>(go)));
 }
 
 } // namespace bpd::qos

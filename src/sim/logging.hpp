@@ -32,11 +32,22 @@ void inform(const std::string &msg);
 /** Enable or disable inform()/warn() output (tests silence it). */
 void setVerbose(bool verbose);
 
-/** panic() unless the condition holds. */
+/**
+ * panic() when the condition holds. Literal messages bind to this
+ * overload, so a passing check never builds a std::string.
+ */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
+        panic(msg);
+}
+
+/** Formatted-message form: the caller has already built @p msg. */
 inline void
 panicIf(bool cond, const std::string &msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

@@ -38,14 +38,39 @@ QueuePair::QueuePair(NvmeDevice &dev, std::uint16_t qid, Pasid pasid,
 bool
 QueuePair::submit(const Command &cmd)
 {
-    if (sq_.size() + inflight_ >= depth_)
+    if (sqCount_ + inflight_ >= depth_)
         return false;
-    Command c = cmd;
-    if (dev_.trace_)
-        c.enq = dev_.eq_.now();
-    sq_.push_back(c);
+    sqPush(cmd);
     dev_.ring(qid_);
     return true;
+}
+
+void
+QueuePair::sqPush(const Command &cmd)
+{
+    if (sqCount_ == sq_.size()) {
+        // Full ring: re-linearize into double the capacity. The depth
+        // check in submit() bounds the ring at depth_ entries.
+        std::vector<Command> grown(std::max<std::size_t>(4, 2 * sq_.size()));
+        for (std::uint32_t i = 0; i < sqCount_; i++)
+            grown[i] = sq_[(sqHead_ + i) % sq_.size()];
+        sq_ = std::move(grown);
+        sqHead_ = 0;
+    }
+    Command &c = sq_[(sqHead_ + sqCount_) % sq_.size()];
+    c = cmd;
+    if (dev_.trace_)
+        c.enq = dev_.eq_.now();
+    sqCount_++;
+}
+
+Command
+QueuePair::sqPop()
+{
+    const Command cmd = sq_[sqHead_];
+    sqHead_ = (sqHead_ + 1) % static_cast<std::uint32_t>(sq_.size());
+    sqCount_--;
+    return cmd;
 }
 
 std::optional<Completion>
@@ -119,7 +144,7 @@ NvmeDevice::destroyQueuePair(std::uint16_t qid)
     // Outstanding completions reference the QueuePair; defer the erase
     // until it drains.
     QueuePair *qp = it->second.get();
-    if (qp->inflight_ > 0 || !qp->sq_.empty()) {
+    if (qp->inflight_ > 0 || qp->sqCount_ != 0) {
         qp->disabled_ = true;
         eq_.after(10 * kUs, [this, qid]() { destroyQueuePair(qid); });
         return;
@@ -186,7 +211,7 @@ NvmeDevice::tryDispatch()
     // translating + media backlog) so arbitration stays fair under
     // load, while ATS translations overlap media work.
     auto admitting = [this]() {
-        return busyUnits_ + translating_ + mediaQueue_.size()
+        return busyUnits_ + translating_ + mediaQueued_
                < 2 * profile_.units;
     };
     while (admitting()) {
@@ -201,13 +226,12 @@ NvmeDevice::tryDispatch()
             const std::uint32_t weight
                 = qos_ ? qos_->weightOf(qp.qosTenant()) : 1;
             for (std::uint32_t took = 0;
-                 took < weight && !qp.sq_.empty() && admitting();
+                 took < weight && qp.sqCount_ != 0 && admitting();
                  took++) {
-                Command cmd = qp.sq_.front();
-                qp.sq_.pop_front();
+                const Command cmd = qp.sqPop();
                 qp.inflight_++;
                 any = true;
-                process(qp, std::move(cmd));
+                process(qp, cmd);
             }
         }
         if (!any)
@@ -262,11 +286,27 @@ NvmeDevice::finish(QueuePair &qp, Completion comp)
 }
 
 void
+NvmeDevice::enqueueMedia(std::uint32_t ji)
+{
+    jobs_[ji].next = kNoJob;
+    if (mediaTail_ == kNoJob)
+        mediaHead_ = ji;
+    else
+        jobs_[mediaTail_].next = ji;
+    mediaTail_ = ji;
+    mediaQueued_++;
+}
+
+void
 NvmeDevice::startMedia()
 {
-    while (busyUnits_ < profile_.units && !mediaQueue_.empty()) {
-        MediaJob job = std::move(mediaQueue_.front());
-        mediaQueue_.pop_front();
+    while (busyUnits_ < profile_.units && mediaHead_ != kNoJob) {
+        const std::uint32_t ji = mediaHead_;
+        MediaJob &job = jobs_[ji];
+        mediaHead_ = job.next;
+        if (mediaHead_ == kNoJob)
+            mediaTail_ = kNoJob;
+        mediaQueued_--;
         busyUnits_++;
         mediaOps_++;
 
@@ -297,41 +337,51 @@ NvmeDevice::startMedia()
                 = std::max(job.qp->lastWriteDone_, done);
         }
 
-        eq_.schedule(done, [this, job = std::move(job)]() mutable {
-            // Functional data movement at completion time. A media
-            // error means the bytes never made it to/from the media.
-            std::size_t off = 0;
-            for (const auto &seg : job.segs) {
-                if (job.mediaError)
-                    break;
-                if (job.op == Op::Read) {
-                    store_.read(seg.addr, job.host.subspan(off, seg.len));
-                } else {
-                    store_.write(seg.addr,
-                                 std::span<const std::uint8_t>(
-                                     job.staged->data() + off, seg.len));
-                }
-                off += seg.len;
-            }
-            job.comp.completeTime = eq_.now();
-            if (trace_ && trace_->wants(obs::Level::Device)) {
-                trace_->span(
-                    qtrack(*job.qp), "nvme.media", job.comp.trace,
-                    job.mediaStart, eq_.now(),
-                    {{"bytes", static_cast<std::int64_t>(job.len)},
-                     {"write",
-                      static_cast<std::int64_t>(job.op == Op::Write)}});
-            }
-            busyUnits_--;
-            startMedia();
-            if (job.mediaError) {
-                mediaErrors_++;
-                if (healthHook_)
-                    healthHook_(mediaErrors_);
-            }
-            finish(*job.qp, job.comp);
-        });
+        eq_.schedule(done, [this, ji]() { mediaDone(ji); });
     }
+}
+
+void
+NvmeDevice::mediaDone(std::uint32_t ji)
+{
+    MediaJob &job = jobs_[ji];
+    // Functional data movement at completion time. A media error means
+    // the bytes never made it to/from the media.
+    if (!job.mediaError) {
+        std::size_t off = 0;
+        for (const auto &seg : job.segs) {
+            if (job.op == Op::Read) {
+                store_.read(seg.addr, job.host.subspan(off, seg.len));
+            } else {
+                store_.write(seg.addr, std::span<const std::uint8_t>(
+                                           job.staged.data() + off,
+                                           seg.len));
+            }
+            off += seg.len;
+        }
+    }
+    job.comp.completeTime = eq_.now();
+    if (trace_ && trace_->wants(obs::Level::Device)) {
+        trace_->span(qtrack(*job.qp), "nvme.media", job.comp.trace,
+                     job.mediaStart, eq_.now(),
+                     {{"bytes", static_cast<std::int64_t>(job.len)},
+                      {"write",
+                       static_cast<std::int64_t>(job.op == Op::Write)}});
+    }
+    QueuePair &qp = *job.qp;
+    const Completion comp = job.comp;
+    const bool mediaError = job.mediaError;
+    // Release before finish(): its tryDispatch() may process new
+    // commands, which can grow (and so move) the pool.
+    jobs_.release(ji);
+    busyUnits_--;
+    startMedia();
+    if (mediaError) {
+        mediaErrors_++;
+        if (healthHook_)
+            healthHook_(mediaErrors_);
+    }
+    finish(qp, comp);
 }
 
 void
@@ -368,6 +418,7 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         }
         Completion comp;
         comp.cid = cmd.cid;
+        comp.tag = cmd.tag;
         comp.status = st;
         comp.submitTime = submitTime;
         comp.trace = cmd.trace;
@@ -404,6 +455,7 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
             = std::max(base, qp.lastWriteDone_) + profile_.flushNs;
         Completion comp;
         comp.cid = cmd.cid;
+        comp.tag = cmd.tag;
         comp.status = Status::Success;
         comp.submitTime = submitTime;
         comp.trace = cmd.trace;
@@ -420,8 +472,14 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     }
 
     // Resolve the device-side extents (functionally now; the latency is
-    // charged on the command's own timeline below).
-    std::vector<iommu::TransSeg> segs;
+    // charged on the command's own timeline below) into a job slot.
+    // Nothing below re-enters the device, so the reference stays valid.
+    const std::uint32_t ji = jobs_.acquire();
+    MediaJob &job = jobs_[ji];
+    auto failJob = [&](Status st, Time extraDelay) {
+        jobs_.release(ji);
+        fail(st, extraDelay);
+    };
     Time translateNs = 0;
     if (cmd.addrIsVba) {
         const bool devTrace = trace_ && trace_->wants(obs::Level::Device);
@@ -431,8 +489,9 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
             tlbMiss0 = iommu_.iotlb().misses();
             tlbHit0 = iommu_.iotlb().hits();
         }
-        iommu::TransResult tr = iommu_.translateVbaSync(
-            qp.pasid(), cmd.addr, cmd.len, cmd.op == Op::Write, devId_);
+        const iommu::TransResult tr = iommu_.translateVbaSync(
+            qp.pasid(), cmd.addr, cmd.len, cmd.op == Op::Write, devId_,
+            job.segs);
         translateNs = tr.latency;
         if (devTrace) {
             // ATS request goes out once the command is fetched; for
@@ -453,28 +512,28 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
                  {"fault", static_cast<std::int64_t>(!tr.ok)}});
         }
         if (!tr.ok) {
-            fail(statusFromFault(tr.fault), tr.latency);
+            failJob(statusFromFault(tr.fault), tr.latency);
             return;
         }
-        segs = std::move(tr.segs);
     } else {
         if (cmd.addr + cmd.len > store_.capacity()) {
-            fail(Status::OutOfRange, 0);
+            failJob(Status::OutOfRange, 0);
             return;
         }
-        segs.push_back(iommu::TransSeg{cmd.addr, cmd.len});
+        job.segs.clear();
+        job.segs.push_back(iommu::TransSeg{cmd.addr, cmd.len});
     }
 
     // VF partition window (Section 5.2): offset every address into the
     // partition and reject anything escaping it — block-level isolation
     // between VMs enforced by the device, independent of page tables.
     if (qp.partitionBytes() != 0) {
-        for (auto &seg : segs) {
+        for (auto &seg : job.segs) {
             const DevAddr translated = seg.addr + qp.partitionBase();
             if (seg.addr + seg.len > qp.partitionBytes()
                 || translated + seg.len
                        > qp.partitionBase() + qp.partitionBytes()) {
-                fail(Status::OutOfRange, translateNs);
+                failJob(Status::OutOfRange, translateNs);
                 return;
             }
             seg.addr = translated;
@@ -485,17 +544,14 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     const bool deviceWrites = (cmd.op == Op::Read);
     auto span = hostSpan(qp, cmd, deviceWrites);
     if (!span) {
-        fail(Status::DmaFault, translateNs);
+        failJob(Status::DmaFault, translateNs);
         return;
     }
 
     // Writes: data-in DMA overlaps translation (no VBA penalty); snapshot
     // the host buffer now ("copied into device memory first").
-    std::shared_ptr<std::vector<std::uint8_t>> staged;
-    if (cmd.op == Op::Write) {
-        staged = std::make_shared<std::vector<std::uint8_t>>(
-            span->begin(), span->end());
-    }
+    if (cmd.op == Op::Write)
+        job.staged.assign(span->begin(), span->end());
 
     if (cmd.op == Op::Read)
         readBytes_ += cmd.len;
@@ -514,39 +570,38 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     }
     qp.completedBytes_ += cmd.len;
 
-    MediaJob job;
     job.qp = &qp;
     job.op = cmd.op;
     job.len = cmd.len;
-    job.segs = std::move(segs);
     job.host = *span;
-    job.staged = std::move(staged);
+    job.comp = Completion{};
     job.comp.cid = cmd.cid;
+    job.comp.tag = cmd.tag;
     job.comp.status = Status::Success;
     job.comp.submitTime = submitTime;
     job.comp.translateNs = translateNs;
     job.comp.trace = cmd.trace;
     job.minDone = 0;
+    job.mediaStart = 0;
+    job.mediaError = false;
 
     // Reads serialize the ATS translation before media access (and do
     // not occupy a media unit meanwhile); writes start media immediately
     // but cannot complete before the ATS response arrives (Section 4.3).
     if (cmd.op == Op::Read && translateNs > 0) {
         translating_++;
-        eq_.after(profile_.cmdFetchNs + translateNs,
-                  [this, job = std::move(job)]() mutable {
-                      translating_--;
-                      mediaQueue_.push_back(std::move(job));
-                      startMedia();
-                      tryDispatch();
-                  });
+        eq_.after(profile_.cmdFetchNs + translateNs, [this, ji]() {
+            translating_--;
+            enqueueMedia(ji);
+            startMedia();
+            tryDispatch();
+        });
     } else {
         job.minDone = submitTime + profile_.cmdFetchNs + translateNs;
-        eq_.after(profile_.cmdFetchNs,
-                  [this, job = std::move(job)]() mutable {
-                      mediaQueue_.push_back(std::move(job));
-                      startMedia();
-                  });
+        eq_.after(profile_.cmdFetchNs, [this, ji]() {
+            enqueueMedia(ji);
+            startMedia();
+        });
     }
 }
 

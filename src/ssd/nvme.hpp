@@ -33,6 +33,7 @@
 #include "obs/tenant.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/slot_pool.hpp"
 #include "ssd/block_store.hpp"
 
 namespace bpd::obs {
@@ -99,6 +100,7 @@ Status statusFromFault(iommu::Fault f);
 struct Command
 {
     Op op = Op::Read;
+    std::uint32_t tag = 0;    //!< submitter's slot, echoed in Completion
     std::uint64_t cid = 0;    //!< caller-chosen command id
     std::uint64_t addr = 0;   //!< device byte address (LBA*512) or VBA
     bool addrIsVba = false;   //!< interpret addr as a VBA (BypassD)
@@ -131,6 +133,7 @@ struct Completion
     std::uint64_t cid = 0;
     std::uint16_t qid = 0;
     Status status = Status::Success;
+    std::uint32_t tag = 0; //!< Command::tag of the completed command
     Time submitTime = 0;
     Time completeTime = 0;
     Time translateNs = 0; //!< modeled VBA translation latency component
@@ -215,7 +218,17 @@ class QueuePair
     bool vbaMode_;
     bool disabled_ = false;
 
-    std::deque<Command> sq_;
+    /** @name SQ ring
+     * Grown on demand (doubling) up to the queue depth, so a steady
+     * state submit/fetch cycle never allocates.
+     */
+    ///@{
+    void sqPush(const Command &cmd);
+    Command sqPop();
+    std::vector<Command> sq_;
+    std::uint32_t sqHead_ = 0;
+    std::uint32_t sqCount_ = 0;
+    ///@}
     std::deque<Completion> cq_;
     std::function<void(const Completion &)> hook_;
     std::uint32_t inflight_ = 0; //!< dispatched, not yet completed
@@ -349,19 +362,27 @@ class NvmeDevice
     /** Destroy a queue pair (outstanding commands complete first). */
     void destroyQueuePair(std::uint16_t qid);
 
-    /** A command that finished translation and awaits a media unit. */
+    static constexpr std::uint32_t kNoJob = 0xffffffffu;
+
+    /**
+     * A data command between fetch and completion. Jobs live in the
+     * jobs_ pool and events refer to them by index; segs and staged
+     * keep their capacity across reuse, so steady-state I/O does not
+     * allocate.
+     */
     struct MediaJob
     {
-        QueuePair *qp;
-        Op op;
-        std::uint32_t len;
+        QueuePair *qp = nullptr;
+        Op op = Op::Read;
+        std::uint32_t len = 0;
         std::vector<iommu::TransSeg> segs;
         std::span<std::uint8_t> host;
-        std::shared_ptr<std::vector<std::uint8_t>> staged;
+        std::vector<std::uint8_t> staged; //!< write data snapshot
         Completion comp;
-        Time minDone; //!< completion cannot precede this (write ATS)
+        Time minDone = 0; //!< completion cannot precede this (write ATS)
         Time mediaStart = 0; //!< service start (observability only)
         bool mediaError = false; //!< injected failure (health model)
+        std::uint32_t next = kNoJob; //!< media-queue link
     };
 
     void ring(std::uint16_t qid);
@@ -369,7 +390,9 @@ class NvmeDevice
     void tryDispatch();
     void process(QueuePair &qp, Command cmd);
     void finish(QueuePair &qp, Completion comp);
+    void enqueueMedia(std::uint32_t ji);
     void startMedia();
+    void mediaDone(std::uint32_t ji);
     Time mediaTime(Op op, std::uint32_t len);
     std::optional<std::span<std::uint8_t>>
     hostSpan(QueuePair &qp, const Command &cmd, bool deviceWrites);
@@ -389,7 +412,11 @@ class NvmeDevice
 
     unsigned busyUnits_ = 0;    //!< units doing media work
     unsigned translating_ = 0;  //!< commands in the ATS phase
-    std::deque<MediaJob> mediaQueue_;
+    sim::SlotPool<MediaJob> jobs_;
+    /** FIFO of jobs awaiting a media unit, linked through next. */
+    std::uint32_t mediaHead_ = kNoJob;
+    std::uint32_t mediaTail_ = kNoJob;
+    std::size_t mediaQueued_ = 0;
     Time linkFreeAt_ = 0;
     bool dispatchScheduled_ = false;
 

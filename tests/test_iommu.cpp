@@ -180,6 +180,27 @@ TEST_F(IommuFixture, LatencyGrowsSlowlyWithTranslations)
     EXPECT_LT(lat12 - lat8, 50u); // slight increase only
 }
 
+TEST_F(IommuFixture, ThreeLeafLinesChargeTwoExtraLines)
+{
+    // A leaf cacheline holds 8 FTEs. Pages 7..16 touch lines 0, 1 and
+    // 2, so the walk charges exactly two extra lines over a one-line
+    // translation, however many pages share each line.
+    iommu.profile().extraLineNs = 37;
+    mapBlocks(0x40000000, 500, 24);
+    iommu.translateVbaSync(kP, 0x40000000, 4096, false, kDev); // warm
+    const TransResult one
+        = iommu.translateVbaSync(kP, 0x40000000, 8 * 4096, false, kDev);
+    const TransResult three = iommu.translateVbaSync(
+        kP, 0x40000000 + 7 * 4096, 10 * 4096, false, kDev);
+    ASSERT_TRUE(one.ok);
+    ASSERT_TRUE(three.ok);
+    EXPECT_EQ(three.pages, 10u);
+    EXPECT_EQ(three.latency - one.latency, 2u * 37u);
+    const TransResult all
+        = iommu.translateVbaSync(kP, 0x40000000, 24 * 4096, false, kDev);
+    EXPECT_EQ(all.latency - one.latency, 2u * 37u);
+}
+
 TEST_F(IommuFixture, FixedLatencyOverride)
 {
     mapBlocks(0x40000000, 500, 1);

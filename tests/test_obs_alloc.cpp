@@ -3,9 +3,10 @@
  * Zero-cost-when-disabled enforcement, as a test rather than a bench:
  * this binary replaces global operator new/delete with counting
  * versions and asserts that the null-tracer instrumentation guard adds
- * ZERO heap allocations to the event-queue schedule/run path. Kept as
- * its own executable (bpd_obs_alloc_tests) so the counting allocator
- * cannot interfere with the main test suite.
+ * ZERO heap allocations to the event-queue schedule/run path, and that
+ * a steady-state direct-path UserLib read or overwrite allocates
+ * nothing end to end. Kept as its own executable (bpd_obs_alloc_tests)
+ * so the counting allocator cannot interfere with the main test suite.
  */
 
 #include <atomic>
@@ -19,6 +20,8 @@
 #include "obs/trace.hpp"
 #include "qos/qos.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/logging.hpp"
+#include "system/system.hpp"
 
 static std::atomic<std::uint64_t> g_allocCount{0};
 
@@ -202,4 +205,94 @@ TEST(ObsAlloc, QosAdmitPathAddsZeroAllocations)
     EXPECT_EQ(admitted, 500000u);
     EXPECT_EQ(reg.throttles(), 0u);
     EXPECT_EQ(weightSum, 400000u);
+}
+
+namespace {
+
+/** Completion tally; a one-pointer capture fits std::function inline. */
+struct DirectTally
+{
+    std::uint64_t ios = 0;
+    std::uint64_t bytes = 0;
+    bool failed = false;
+};
+
+} // namespace
+
+TEST(ObsAlloc, SteadyStateDirectPathIsAllocationFree)
+{
+    // The whole BypassD direct path — UserLib request pool, dispatcher
+    // tags, SQ ring, device job slab, VBA translation and page walk —
+    // must reuse its storage once warm: QD1 preads and aligned pwrite
+    // overwrites with tracing off allocate nothing.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg;
+    cfg.deviceBytes = 1ull << 30;
+    sys::System s(cfg);
+    kern::Process &p = s.newProcess();
+    bypassd::UserLib &lib = s.userLib(p);
+
+    constexpr std::uint64_t kFileBytes = 4ull << 20;
+    constexpr std::uint64_t kBlocks = kFileBytes / kBlockBytes;
+    const int cfd = s.kernel.setupCreateFile(p, "/alloc.dat", kFileBytes, 7);
+    ASSERT_GE(cfd, 0);
+    int rc = -1;
+    s.kernel.sysClose(p, cfd, [&rc](int r) { rc = r; });
+    s.run();
+    ASSERT_EQ(rc, 0);
+    int fd = -1;
+    lib.open("/alloc.dat", fs::kOpenRead | fs::kOpenWrite | fs::kOpenDirect,
+             0644, [&fd](int f) { fd = f; });
+    s.run();
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(lib.isDirect(fd));
+    constexpr Tid kTid = 1;
+    lib.prepareThread(kTid);
+
+    std::vector<std::uint8_t> buf(kBlockBytes, 0x5a);
+    DirectTally tally;
+    DirectTally *t = &tally;
+    auto cb = [t](long long n, kern::IoTrace) {
+        if (n < 0)
+            t->failed = true;
+        else
+            t->bytes += static_cast<std::uint64_t>(n);
+        t->ios++;
+    };
+    std::uint64_t lcg = 12345;
+    auto nextOff = [&lcg]() {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return ((lcg >> 33) % kBlocks) * kBlockBytes;
+    };
+    auto readOnce = [&]() {
+        lib.pread(kTid, fd, buf, nextOff(), cb);
+        s.run();
+    };
+    auto writeOnce = [&]() {
+        lib.pwrite(kTid, fd, buf, nextOff(), cb);
+        s.run();
+    };
+
+    // Warm every pool, ring and slab to its steady-state size.
+    for (int i = 0; i < 32; i++) {
+        readOnce();
+        writeOnce();
+    }
+
+    constexpr int kIos = 10000;
+    const std::uint64_t r0 = g_allocCount.load();
+    for (int i = 0; i < kIos; i++)
+        readOnce();
+    const std::uint64_t r1 = g_allocCount.load();
+    for (int i = 0; i < kIos; i++)
+        writeOnce();
+    const std::uint64_t w1 = g_allocCount.load();
+
+    EXPECT_EQ(r1 - r0, 0u) << "direct-path pread allocated";
+    EXPECT_EQ(w1 - r1, 0u) << "direct-path pwrite overwrite allocated";
+    EXPECT_FALSE(tally.failed);
+    EXPECT_EQ(tally.ios, 64u + 2u * kIos);
+    EXPECT_EQ(tally.bytes, (64u + 2u * kIos) * kBlockBytes);
+    EXPECT_EQ(lib.directReads(), 32u + kIos);
+    EXPECT_EQ(lib.directWrites(), 32u + kIos);
 }

@@ -6,6 +6,8 @@
  * exclusive claim.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "iommu/iommu.hpp"
@@ -424,6 +426,95 @@ TEST_F(DevFixture, DispatcherDestroyedWithCommandInFlight)
     // The device is intact: a fresh queue still completes I/O.
     EXPECT_EQ(runOne(dev->createQueuePair(kNoPasid, 32, false), cmd).status,
               Status::Success);
+}
+
+TEST_F(DevFixture, DispatcherSlotsUnderOutOfOrderCompletion)
+{
+    // Flushes take longer than reads, so alternating them makes
+    // completions return out of submit order. Each callback must fire
+    // exactly once with its own cid, and the tag slots must be reused
+    // rather than grown past the queue depth.
+    constexpr std::uint32_t kDepth = 8;
+    QueuePair *qp = dev->createQueuePair(kNoPasid, kDepth, false);
+    CommandDispatcher disp(*qp);
+    std::vector<std::uint8_t> buf(4096);
+    Command rd;
+    rd.op = Op::Read;
+    rd.addr = 0;
+    rd.len = 4096;
+    rd.hostBuf = buf;
+    Command fl;
+    fl.op = Op::Flush;
+
+    constexpr int kRounds = 3;
+    std::vector<int> fired(kRounds * kDepth, 0);
+    std::vector<std::uint64_t> cidSeen(kRounds * kDepth, 0);
+    std::vector<int> order;
+    std::uint32_t maxTag = 0;
+    int retried = 0;
+    std::uint64_t retriedCid = 0;
+    CommandDispatcher::CompletionFn retry
+        = [&](const Completion &c) {
+              retried++;
+              retriedCid = c.cid;
+          };
+    for (int round = 0; round < kRounds; round++) {
+        for (std::uint32_t j = 0; j < kDepth; j++) {
+            const int i = round * static_cast<int>(kDepth)
+                          + static_cast<int>(j);
+            ASSERT_TRUE(disp.submit(j % 2 == 0 ? fl : rd,
+                                    [&, i](const Completion &c) {
+                                        fired[i]++;
+                                        cidSeen[i] = c.cid;
+                                        maxTag = std::max(maxTag, c.tag);
+                                        order.push_back(i);
+                                    }));
+        }
+        EXPECT_EQ(disp.outstanding(), kDepth);
+        if (round == 0) {
+            // A refused submit keeps the caller's callback intact.
+            EXPECT_FALSE(disp.submit(rd, std::move(retry)));
+            EXPECT_TRUE(static_cast<bool>(retry));
+            EXPECT_EQ(disp.outstanding(), kDepth);
+        }
+        eq.run();
+        EXPECT_EQ(disp.outstanding(), 0u);
+    }
+    for (int i = 0; i < kRounds * static_cast<int>(kDepth); i++) {
+        EXPECT_EQ(fired[i], 1) << "callback " << i;
+        EXPECT_EQ(cidSeen[i], static_cast<std::uint64_t>(i) + 1)
+            << "callback " << i << " saw another command's cid";
+    }
+    EXPECT_FALSE(std::is_sorted(order.begin(), order.end()))
+        << "completions never overtook each other";
+    EXPECT_LT(maxTag, kDepth) << "slots grew instead of being reused";
+
+    // The callback kept from the refused submit fires once on retry,
+    // with the next dense cid.
+    ASSERT_TRUE(disp.submit(rd, std::move(retry)));
+    eq.run();
+    EXPECT_EQ(retried, 1);
+    EXPECT_EQ(retriedCid, kRounds * kDepth + 1u);
+    EXPECT_EQ(disp.outstanding(), 0u);
+
+    // Destroying a dispatcher with commands in flight drains them to
+    // the dying queue's CQ: no callback runs, nothing hangs.
+    auto doomed = dev->openQueue(kNoPasid, kDepth, false);
+    ASSERT_NE(doomed, nullptr);
+    int lateCalls = 0;
+    for (std::uint32_t j = 0; j < 4; j++) {
+        ASSERT_TRUE(doomed->submit(j % 2 == 0 ? fl : rd,
+                                   [&lateCalls](const Completion &) {
+                                       lateCalls++;
+                                   }));
+    }
+    const std::uint64_t ops0 = dev->totalOps();
+    eq.runUntil(eq.now() + prof.cmdFetchNs);
+    doomed.reset();
+    eq.run();
+    EXPECT_EQ(lateCalls, 0);
+    EXPECT_EQ(dev->totalOps(), ops0 + 4);
+    EXPECT_EQ(dev->busyUnits(), 0u);
 }
 
 TEST_F(DevFixture, QueueDepthBackpressure)
