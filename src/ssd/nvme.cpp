@@ -1,6 +1,7 @@
 #include "ssd/nvme.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -41,7 +42,7 @@ QueuePair::submit(const Command &cmd)
     if (sqCount_ + inflight_ >= depth_)
         return false;
     sqPush(cmd);
-    dev_.ring(qid_);
+    dev_.ring();
     return true;
 }
 
@@ -52,24 +53,27 @@ QueuePair::sqPush(const Command &cmd)
         // Full ring: re-linearize into double the capacity. The depth
         // check in submit() bounds the ring at depth_ entries.
         std::vector<Command> grown(std::max<std::size_t>(4, 2 * sq_.size()));
+        const std::size_t mask = sq_.size() - 1;
         for (std::uint32_t i = 0; i < sqCount_; i++)
-            grown[i] = sq_[(sqHead_ + i) % sq_.size()];
+            grown[i] = sq_[(sqHead_ + i) & mask];
         sq_ = std::move(grown);
         sqHead_ = 0;
     }
-    Command &c = sq_[(sqHead_ + sqCount_) % sq_.size()];
+    Command &c = sq_[(sqHead_ + sqCount_) & (sq_.size() - 1)];
     c = cmd;
     if (dev_.trace_)
         c.enq = dev_.eq_.now();
-    sqCount_++;
+    if (sqCount_++ == 0)
+        dev_.ready_[rrPos_ / 64] |= std::uint64_t{1} << (rrPos_ % 64);
 }
 
 Command
 QueuePair::sqPop()
 {
     const Command cmd = sq_[sqHead_];
-    sqHead_ = (sqHead_ + 1) % static_cast<std::uint32_t>(sq_.size());
-    sqCount_--;
+    sqHead_ = (sqHead_ + 1) & static_cast<std::uint32_t>(sq_.size() - 1);
+    if (--sqCount_ == 0)
+        dev_.ready_[rrPos_ / 64] &= ~(std::uint64_t{1} << (rrPos_ % 64));
     return cmd;
 }
 
@@ -108,7 +112,10 @@ NvmeDevice::createQueuePair(Pasid pasid, std::uint32_t depth, bool vbaMode)
         new QueuePair(*this, qid, pasid, depth, vbaMode));
     QueuePair *raw = qp.get();
     queues_[qid] = std::move(qp);
+    raw->rrPos_ = static_cast<std::uint32_t>(rrOrder_.size());
     rrOrder_.push_back(raw);
+    if (rrOrder_.size() > 64 * ready_.size())
+        ready_.push_back(0);
     return raw;
 }
 
@@ -149,8 +156,15 @@ NvmeDevice::destroyQueuePair(std::uint16_t qid)
         eq_.after(10 * kUs, [this, qid]() { destroyQueuePair(qid); });
         return;
     }
-    rrOrder_.erase(std::remove(rrOrder_.begin(), rrOrder_.end(), qp),
-                   rrOrder_.end());
+    // Positions after the erased queue shift down by one: renumber the
+    // queues and rebuild the ready bitmap from their SQ counts.
+    rrOrder_.erase(rrOrder_.begin() + qp->rrPos_);
+    ready_.assign((rrOrder_.size() + 63) / 64, 0);
+    for (std::uint32_t i = 0; i < rrOrder_.size(); i++) {
+        rrOrder_[i]->rrPos_ = i;
+        if (rrOrder_[i]->sqCount_ != 0)
+            ready_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
     if (rrNext_ >= rrOrder_.size())
         rrNext_ = 0;
     queues_.erase(it);
@@ -189,9 +203,8 @@ NvmeDevice::qtrack(QueuePair &qp)
 }
 
 void
-NvmeDevice::ring(std::uint16_t qid)
+NvmeDevice::ring()
 {
-    (void)qid;
     if (!dispatchScheduled_) {
         dispatchScheduled_ = true;
         eq_.after(0, [this]() {
@@ -201,28 +214,64 @@ NvmeDevice::ring(std::uint16_t qid)
     }
 }
 
+std::size_t
+NvmeDevice::readyDistance(std::size_t from) const
+{
+    // Scan the word holding `from` (bits at or after it), the words
+    // after it with wrap-around, then that first word again in full;
+    // a hit on the last step lies before `from`.
+    const std::size_t n = rrOrder_.size();
+    const std::size_t words = ready_.size();
+    std::size_t w = from / 64;
+    std::uint64_t bits = ready_[w] & (~std::uint64_t{0} << (from % 64));
+    for (std::size_t i = 0; i <= words; i++) {
+        if (bits != 0) {
+            const std::size_t pos = 64 * w + std::countr_zero(bits);
+            return pos >= from ? pos - from : pos + n - from;
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = ready_[w];
+    }
+    return n;
+}
+
 void
 NvmeDevice::tryDispatch()
 {
     // Weighted round-robin arbitration: each queue's turn drains up to
-    // weight(qosTenant) commands per scan (one without a QoS registry —
-    // the paper's plain round-robin, bit-identically). Admission is
-    // bounded by total device occupancy (media units busy + commands
+    // weight(qosTenant) commands (one without a QoS registry — the
+    // paper's plain round-robin, bit-identically). Admission is bounded
+    // by total device occupancy (media units busy + commands
     // translating + media backlog) so arbitration stays fair under
     // load, while ATS translations overlap media work.
+    //
+    // Visit order (DESIGN.md section 16): a pass makes rrOrder_.size()
+    // visits from the cursor and the cursor advances on every visit,
+    // empty queues included. A completed pass therefore leaves the
+    // cursor where the pass started; it lands elsewhere only when
+    // admission closes partway through a pass. The ready bitmap lets a
+    // pass jump straight to the next non-empty queue, charging the
+    // skipped empty visits to the pass budget `left`.
     auto admitting = [this]() {
         return busyUnits_ + translating_ + mediaQueued_
                < 2 * profile_.units;
     };
     while (admitting()) {
+        const std::size_t n = rrOrder_.size();
         bool any = false;
-        for (std::size_t scanned = 0;
-             scanned < rrOrder_.size() && admitting(); scanned++) {
-            if (rrOrder_.empty())
+        for (std::size_t left = n; left != 0 && admitting();) {
+            const std::size_t skip = readyDistance(rrNext_);
+            if (skip >= left) {
+                // No ready queue in the rest of the pass.
+                rrNext_ = (rrNext_ + left) % n;
                 break;
-            rrNext_ = rrNext_ % rrOrder_.size();
-            QueuePair &qp = *rrOrder_[rrNext_];
-            rrNext_ = (rrNext_ + 1) % rrOrder_.size();
+            }
+            left -= skip + 1;
+            std::size_t pos = rrNext_ + skip;
+            if (pos >= n)
+                pos -= n;
+            rrNext_ = pos + 1 == n ? 0 : pos + 1;
+            QueuePair &qp = *rrOrder_[pos];
             const std::uint32_t weight
                 = qos_ ? qos_->weightOf(qp.qosTenant()) : 1;
             for (std::uint32_t took = 0;

@@ -13,7 +13,8 @@
  *  - media access: base latency + size / bandwidth, lognormal jitter;
  *  - a bounded number of internal units limits concurrency (~1.5 M IOPS);
  *  - a shared transfer link serializes data movement (caps GB/s);
- *  - round-robin arbitration across submission queues (Fig. 11).
+ *  - round-robin arbitration across submission queues (Fig. 11), found
+ *    through a ready bitmap so its cost tracks the non-empty queues.
  */
 
 #ifndef BPD_SSD_NVME_HPP
@@ -219,8 +220,11 @@ class QueuePair
     bool disabled_ = false;
 
     /** @name SQ ring
-     * Grown on demand (doubling) up to the queue depth, so a steady
-     * state submit/fetch cycle never allocates.
+     * Grown on demand (doubling from 4) up to the queue depth, so a
+     * steady state submit/fetch cycle never allocates. The capacity is
+     * therefore always a power of two and indices wrap with a mask.
+     * sqPush/sqPop keep this queue's bit in NvmeDevice::ready_ equal to
+     * (sqCount_ != 0).
      */
     ///@{
     void sqPush(const Command &cmd);
@@ -229,6 +233,7 @@ class QueuePair
     std::uint32_t sqHead_ = 0;
     std::uint32_t sqCount_ = 0;
     ///@}
+    std::uint32_t rrPos_ = 0; //!< index in NvmeDevice::rrOrder_
     std::deque<Completion> cq_;
     std::function<void(const Completion &)> hook_;
     std::uint32_t inflight_ = 0; //!< dispatched, not yet completed
@@ -385,9 +390,10 @@ class NvmeDevice
         std::uint32_t next = kNoJob; //!< media-queue link
     };
 
-    void ring(std::uint16_t qid);
+    void ring();
     std::uint16_t qtrack(QueuePair &qp);
     void tryDispatch();
+    std::size_t readyDistance(std::size_t from) const;
     void process(QueuePair &qp, Command cmd);
     void finish(QueuePair &qp, Completion comp);
     void enqueueMedia(std::uint32_t ji);
@@ -407,7 +413,9 @@ class NvmeDevice
     std::unordered_map<std::uint16_t, std::unique_ptr<QueuePair>> queues_;
     /** Round-robin arbitration order; owning entries live in queues_. */
     std::vector<QueuePair *> rrOrder_;
-    std::size_t rrNext_ = 0;
+    /** Bit i set iff rrOrder_[i] has SQ entries; bits past the end stay 0. */
+    std::vector<std::uint64_t> ready_;
+    std::size_t rrNext_ = 0; //!< next rrOrder_ position to visit
     std::uint16_t nextQid_ = 1;
 
     unsigned busyUnits_ = 0;    //!< units doing media work

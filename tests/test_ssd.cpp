@@ -12,7 +12,10 @@
 
 #include "iommu/iommu.hpp"
 #include "mem/page_table.hpp"
+#include "qos/qos.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/hash.hpp"
+#include "sim/random.hpp"
 #include "ssd/block_store.hpp"
 #include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
@@ -321,6 +324,149 @@ TEST_F(DevFixture, RoundRobinFairness)
     EXPECT_EQ(done1, 200);
     EXPECT_EQ(done2, 200);
     EXPECT_EQ(q1->completedOps(), q2->completedOps());
+}
+
+TEST_F(DevFixture, CompletedPassReturnsCursorToPassStart)
+{
+    // Four queues, only queue 1 ready: the pass visits all four,
+    // serves queue 1, and the cursor wraps back to the pass start. So
+    // when queues 1 and 2 become ready together, queue 1 goes first.
+    // Flushes never occupy a media unit and complete after a fixed
+    // delay, so completion order here is dispatch order.
+    std::vector<QueuePair *> qs;
+    std::vector<std::uint16_t> order;
+    for (int i = 0; i < 4; i++) {
+        qs.push_back(dev->createQueuePair(kNoPasid, 8, false));
+        qs.back()->setCompletionHook([&order](const Completion &c) {
+            order.push_back(c.qid);
+        });
+    }
+    Command fl;
+    fl.op = Op::Flush;
+    ASSERT_TRUE(qs[0]->submit(fl));
+    eq.run();
+    ASSERT_EQ(order, std::vector<std::uint16_t>{qs[0]->qid()});
+    order.clear();
+    ASSERT_TRUE(qs[1]->submit(fl));
+    ASSERT_TRUE(qs[0]->submit(fl));
+    eq.run();
+    EXPECT_EQ(order,
+              (std::vector<std::uint16_t>{qs[0]->qid(), qs[1]->qid()}));
+}
+
+TEST_F(DevFixture, ArbitrationOrderPinned)
+{
+    // Pins the weighted round-robin visit order bit for bit. 72 queues
+    // (two bitmap words) with QoS weights 1-4 and mixed depths take
+    // seeded bursts of VBA reads, raw reads, writes and flushes. VBA
+    // reads occupy the device while they translate, so admission
+    // closes partway through passes. Mid-run one queue is destroyed,
+    // one is created, and an exclusive claim disables one queue, whose
+    // commands then fail. The hash folds (qid, cid, submitTime) of
+    // every completion in completion order; the expected value was
+    // captured from the linear scan over every queue that the ready
+    // bitmap replaced.
+    mem::PageTable pt(fa);
+    const Pasid owner = 9;
+    const Pasid other = 5;
+    iommu.bindPasid(owner, &pt);
+    constexpr std::uint64_t kVbaBase = 0x40000000;
+    constexpr std::uint64_t kPages = 256;
+    for (std::uint64_t p = 0; p < kPages; p++)
+        pt.set(kVbaBase + p * 4096, mem::makeFte(1000 + p, 1, true));
+    std::vector<std::uint8_t> dma(4096);
+    constexpr std::uint64_t kIova = 0x9000000;
+    iommu.mapDma(owner, kIova, std::span(dma), true);
+    std::vector<std::uint8_t> buf(4096, 0x5a);
+
+    qos::Registry reg(eq);
+    dev->setQos(&reg);
+    for (std::uint32_t w = 1; w <= 4; w++) {
+        qos::TenantLimit lim;
+        lim.weight = w;
+        reg.setLimit(1000 + w, lim);
+    }
+
+    std::uint64_t h = sim::kFnvSeed;
+    std::uint64_t completions = 0;
+    auto record = [&h, &completions](const Completion &c) {
+        h = sim::fnv(sim::fnv(sim::fnv(h, c.qid), c.cid), c.submitTime);
+        completions++;
+    };
+
+    struct Lane
+    {
+        std::unique_ptr<CommandDispatcher> disp;
+        bool vba = false;
+    };
+    std::vector<Lane> lanes;
+    auto openLane = [&](Pasid pasid, int i) {
+        const std::uint32_t depth = 4u << (i % 4);
+        const bool vba = pasid == owner && i % 3 == 0;
+        Lane lane{dev->openQueue(pasid, depth, vba), vba};
+        lane.disp->queue().setQosTenant(1000 + 1 + (i * 7) % 4);
+        lanes.push_back(std::move(lane));
+    };
+    constexpr int kQueues = 72;
+    constexpr int kDisabled = 40; // owned by `other`: the claim disables it
+    for (int i = 0; i < kQueues; i++)
+        openLane(i == kDisabled ? other : owner, i);
+
+    sim::Rng rng(0x5eed);
+    auto submitBurst = [&](int lanesHit) {
+        for (int k = 0; k < lanesHit; k++) {
+            Lane &lane = lanes[rng.nextUint(lanes.size())];
+            if (!lane.disp)
+                continue;
+            const std::uint64_t n = 1 + rng.nextUint(6);
+            for (std::uint64_t j = 0; j < n; j++) {
+                Command cmd;
+                const std::uint64_t kind = rng.nextUint(8);
+                const std::uint64_t page = rng.nextUint(kPages);
+                cmd.len = 4096;
+                if (kind == 0) {
+                    cmd.op = Op::Flush;
+                } else if (lane.vba) {
+                    cmd.op = kind == 1 ? Op::Write : Op::Read;
+                    cmd.addr = kVbaBase + page * 4096;
+                    cmd.addrIsVba = true;
+                    cmd.dmaIova = kIova;
+                    cmd.useIova = true;
+                } else {
+                    cmd.op = kind <= 2 ? Op::Write : Op::Read;
+                    cmd.addr = page * 4096;
+                    cmd.hostBuf = buf;
+                }
+                if (!lane.disp->submit(cmd, record))
+                    break;
+            }
+        }
+    };
+
+    // Alternate 100-burst phases of overload (12 lanes per burst, far
+    // above the device's ~1.5 M IOPS) and underload (one lane), so
+    // passes both stop partway and run to completion.
+    constexpr int kBursts = 1200;
+    for (int b = 0; b < kBursts; b++) {
+        const Time at = static_cast<Time>(b) * 3000 + rng.nextUint(2000);
+        eq.schedule(at, [&, b]() {
+            submitBurst((b / 100) % 2 == 0 ? 12 : 1);
+            if (b == 250)
+                lanes[10].disp.reset(); // destroyed mid-run
+            if (b == 450)
+                openLane(owner, 7); // created mid-run, weight 2
+            if (b == 650) {
+                ASSERT_TRUE(dev->claimExclusive(owner));
+            }
+            if (b == 950)
+                dev->releaseExclusive(owner);
+        });
+    }
+    eq.run();
+
+    EXPECT_GT(completions, 5000u);
+    EXPECT_GT(lanes[kDisabled].disp->queue().faults(), 0u);
+    EXPECT_EQ(h, 0x1bd5b78388c79e86ull) << std::hex << "0x" << h;
 }
 
 TEST_F(DevFixture, ThroughputSaturatesNearProfile)
