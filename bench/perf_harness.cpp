@@ -8,6 +8,9 @@
  *
  *  - events executed and simulated nanoseconds covered,
  *  - host wall-clock seconds and events/second (the headline number),
+ *  - host minor page faults and system CPU seconds, getrusage deltas
+ *    around the whole scenario over every thread of the process (the
+ *    simulator's own kernel cost, invisible to user-space timers),
  *  - a 64-bit FNV-1a digest of the *simulated* outputs (ops, latency
  *    percentiles, timeline buckets, ...) which must be bit-identical
  *    across purely host-side optimizations (invariant 9).
@@ -40,6 +43,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,6 +76,10 @@ struct ScenarioResult
     std::uint64_t digest = 0;   //!< FNV-1a of simulated outputs
     double metric = 0;          //!< scenario-native throughput metric
     std::string metricName;
+    /** Host kernel cost of the whole scenario (setup included, every
+     *  thread of the process): minor page faults and system CPU s. */
+    long hostMinorFaults = 0;
+    double hostSysSec = 0;
 
     /** Key simulated counters, embedded flat in the scenario JSON so
      *  tools/perf_report can diff them between runs. */
@@ -292,21 +300,23 @@ runFig12Revocation(bool quick, unsigned shards, bench::ObsCapture &obs)
     std::vector<std::uint8_t> buf(4096);
     sim::Rng rng(5);
 
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, loop]() {
+    // Owned by this frame, which outlives s->run(); each completion
+    // re-arms the loop through a reference.
+    std::function<void()> loop;
+    loop = [&]() {
         if (s->now() >= tEnd)
             return;
         const std::uint64_t off
             = rng.nextUint((1ull << 30) / 4096) * 4096;
         rec.pread(lib, reader, 0, fd, buf, off, 0, sharedDb,
-                  [&, loop](long long n, kern::IoTrace) {
+                  [&](long long n, kern::IoTrace) {
                       if (n > 0)
                           throughput.record(s->now(),
                                             static_cast<double>(n));
-                      (*loop)();
+                      loop();
                   });
     };
-    (*loop)();
+    loop();
 
     // The intruder's open fires at an absolute time while reads are in
     // flight, so it records on a numbered lane of its own process.
@@ -446,6 +456,23 @@ runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
     return r;
 }
 
+/** Process-wide minor faults and system CPU seconds so far. */
+struct HostUsage
+{
+    long minorFaults;
+    double sysSec;
+};
+
+HostUsage
+hostUsage()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return {ru.ru_minflt, static_cast<double>(ru.ru_stime.tv_sec)
+                              + static_cast<double>(ru.ru_stime.tv_usec)
+                                    / 1e6};
+}
+
 std::uint64_t
 peakRssBytes()
 {
@@ -506,20 +533,29 @@ main(int argc, char **argv)
                   quick ? "simulator wall-clock scenarios (quick)"
                         : "simulator wall-clock scenarios");
 
+    using RunFn = ScenarioResult (*)(bool, unsigned, bench::ObsCapture &);
     std::vector<ScenarioResult> results;
-    results.push_back(runFig9Randread(quick, shards, obs));
-    results.push_back(runFig13WiredTiger(quick, shards, obs));
-    results.push_back(runFig12Revocation(quick, shards, obs));
-    results.push_back(runFleetFio(quick, shards, obs));
+    for (RunFn run : {runFig9Randread, runFig13WiredTiger,
+                      runFig12Revocation, runFleetFio}) {
+        const HostUsage before = hostUsage();
+        ScenarioResult r = run(quick, shards, obs);
+        const HostUsage after = hostUsage();
+        r.hostMinorFaults = after.minorFaults - before.minorFaults;
+        r.hostSysSec = after.sysSec - before.sysSec;
+        results.push_back(std::move(r));
+    }
 
-    std::printf("%-24s %12s %10s %14s %12s  %s\n", "scenario", "events",
-                "wall(s)", "events/sec", "metric", "digest");
+    std::printf("%-24s %12s %10s %14s %12s  %-16s %10s %8s\n",
+                "scenario", "events", "wall(s)", "events/sec", "metric",
+                "digest", "minflt", "sys(s)");
     for (const auto &r : results) {
-        std::printf("%-24s %12llu %10.3f %14.0f %9.0f %s %016llx\n",
+        std::printf("%-24s %12llu %10.3f %14.0f %9.0f %s %016llx "
+                    "%10ld %8.3f\n",
                     r.name.c_str(), (unsigned long long)r.events,
                     r.wallSec, r.eventsPerSec(), r.metric,
                     r.metricName.c_str(),
-                    (unsigned long long)r.digest);
+                    (unsigned long long)r.digest, r.hostMinorFaults,
+                    r.hostSysSec);
     }
     std::printf("peak RSS: %.1f MB\n",
                 static_cast<double>(peakRssBytes()) / (1 << 20));
@@ -561,6 +597,10 @@ main(int argc, char **argv)
             std::fprintf(f, "      \"wall_sec\": %.6f,\n", r.wallSec);
             std::fprintf(f, "      \"events_per_sec\": %.1f,\n",
                          r.eventsPerSec());
+            std::fprintf(f, "      \"host_minor_faults\": %ld,\n",
+                         r.hostMinorFaults);
+            std::fprintf(f, "      \"host_sys_sec\": %.6f,\n",
+                         r.hostSysSec);
             std::fprintf(f, "      \"%s\": %.3f,\n", r.metricName.c_str(),
                          r.metric);
             std::fprintf(f, "      \"iotlb_hits\": %llu,\n",

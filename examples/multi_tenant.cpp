@@ -61,27 +61,31 @@ main()
 
     // --- all three hammer the device concurrently ---
     const Time tEnd = s.now() + 20 * kMs;
-    for (Tenant &t : tenants) {
+    // Each tenant's closed read loop lives here, so it outlives s.run();
+    // every completion re-arms its loop through a reference.
+    std::function<void()> loops[3];
+    for (unsigned i = 0; i < 3; i++) {
+        Tenant &t = tenants[i];
+        std::function<void()> &loop = loops[i];
         auto buf = std::make_shared<std::vector<std::uint8_t>>(4096);
         auto rng = std::make_shared<sim::Rng>(
             reinterpret_cast<std::uintptr_t>(&t));
-        auto loop = std::make_shared<std::function<void()>>();
-        *loop = [&, buf, rng, loop]() {
+        loop = [&, buf, rng]() {
             if (s.now() >= tEnd)
                 return;
             const Time t0 = s.now();
             const std::uint64_t off
                 = rng->nextUint((32 << 20) / 4096) * 4096;
             t.lib->pread(0, t.fd, *buf, off,
-                         [&, loop, t0](long long n, kern::IoTrace) {
+                         [&, t0](long long n, kern::IoTrace) {
                              if (n > 0) {
                                  t.ops++;
                                  t.totalLat += s.now() - t0;
                              }
-                             (*loop)();
+                             loop();
                          });
         };
-        (*loop)();
+        loop();
     }
     s.run();
     std::printf("\n20ms of concurrent 4KB reads, one queue pair each:\n");

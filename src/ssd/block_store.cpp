@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "sim/logging.hpp"
 
 namespace bpd::ssd {
+
+void
+BlockStore::UnmapDeleter::operator()(std::uint8_t *p) const
+{
+    munmap(p, kExtentBytes);
+}
 
 BlockStore::BlockStore(std::uint64_t capacityBytes)
     : capacity_(capacityBytes)
@@ -45,10 +53,14 @@ BlockStore::ensureExtent(std::uint64_t idx)
         return *lastExt_;
     auto &slot = extents_[idx];
     if (!slot) {
+        void *p = mmap(nullptr, kExtentBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+        sim::panicIf(p == MAP_FAILED, "out of memory mapping extent");
+        // Keep one block per host page where THP is "always" too: a
+        // huge page would make a sparsely written extent 2 MiB resident.
+        madvise(p, kExtentBytes, MADV_NOHUGEPAGE);
         slot = std::make_unique<Extent>();
-        slot->data.reset(static_cast<std::uint8_t *>(
-            std::calloc(kExtentBytes, 1)));
-        sim::panicIf(!slot->data, "out of memory materializing extent");
+        slot->data.reset(static_cast<std::uint8_t *>(p));
     }
     lastIdx_ = idx;
     lastExt_ = slot.get();
@@ -77,11 +89,32 @@ BlockStore::read(DevAddr addr, std::span<std::uint8_t> out) const
         const std::size_t n
             = std::min<std::uint64_t>(out.size() - done,
                                       kExtentBytes - off);
+        std::uint8_t *dst = out.data() + done;
         const Extent *e = findExtent(idx);
-        if (e == nullptr)
-            std::memset(out.data() + done, 0, n);
-        else
-            std::memcpy(out.data() + done, e->data.get() + off, n);
+        if (e == nullptr) {
+            std::memset(dst, 0, n);
+            done += n;
+            continue;
+        }
+        // Copy each run of written blocks, zero-fill each run of
+        // unwritten ones (clear bit => zero bytes, see Extent::written).
+        const std::size_t end = off + n;
+        std::size_t pos = off;
+        std::uint64_t b = off / kBlockBytes;
+        while (pos < end) {
+            const bool w = testBit(e->written, b);
+            do {
+                b++;
+            } while (b * kBlockBytes < end && testBit(e->written, b) == w);
+            const std::size_t runEnd
+                = std::min<std::size_t>(end, b * kBlockBytes);
+            if (w)
+                std::memcpy(dst + (pos - off), e->data.get() + pos,
+                            runEnd - pos);
+            else
+                std::memset(dst + (pos - off), 0, runEnd - pos);
+            pos = runEnd;
+        }
         done += n;
     }
 }

@@ -12,13 +12,17 @@
  * scans for the common (never-written or trimmed) case. A one-entry
  * last-extent cache short-circuits the map probe entirely for the
  * sequential and zipfian access patterns the paper sweeps generate.
+ *
+ * Host cost: each extent is its own page-aligned anonymous mapping, so
+ * one 4 KiB block is exactly one host page. The first write of a block
+ * takes one minor fault; reads of never-written blocks are memsets into
+ * the caller's buffer and touch no page of the extent at all.
  */
 
 #ifndef BPD_SSD_BLOCK_STORE_HPP
 #define BPD_SSD_BLOCK_STORE_HPP
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -60,20 +64,30 @@ class BlockStore
     virtual std::uint64_t residentBytes() const;
 
   private:
-    struct FreeDeleter
+    struct UnmapDeleter
     {
-        void operator()(std::uint8_t *p) const { std::free(p); }
+        void operator()(std::uint8_t *p) const;
     };
 
     struct Extent
     {
         /**
-         * kExtentBytes of zeroed media, calloc-allocated so untouched
-         * pages stay copy-on-write zero pages: a sparse write
-         * materializes only the host pages it dirties, not 2 MiB.
+         * kExtentBytes of zeroed media in a private anonymous mapping
+         * of its own, never backed by a huge page. The mapping is page
+         * aligned, so each block is one host page and a block's first
+         * write faults in exactly that page; untouched blocks cost no
+         * memory.
          */
-        std::unique_ptr<std::uint8_t[], FreeDeleter> data;
-        /** Blocks ever written (residency accounting). */
+        std::unique_ptr<std::uint8_t[], UnmapDeleter> data;
+        /**
+         * Blocks written since the extent was mapped or the block was
+         * last zeroed. Invariant: a clear bit means the block's bytes
+         * are zero. It holds at mmap time, write() sets the bit, and
+         * zeroBlocks() memsets a block before clearing it. read()
+         * relies on it to serve unwritten blocks with a memset of the
+         * output, never touching (and so never faulting in) their
+         * pages.
+         */
         std::uint64_t written[kExtentBlocks / 64] = {};
         /** Blocks that may hold nonzero bytes (isZero fast path). */
         std::uint64_t nonzero[kExtentBlocks / 64] = {};

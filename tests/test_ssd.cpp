@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "iommu/iommu.hpp"
@@ -19,6 +21,7 @@
 #include "ssd/block_store.hpp"
 #include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
+#include "ssd/volume_store.hpp"
 
 using namespace bpd;
 using namespace bpd::ssd;
@@ -70,6 +73,171 @@ TEST(BlockStore, OutOfRangePanics)
     BlockStore bs(1 << 20);
     std::vector<std::uint8_t> buf(4096);
     EXPECT_DEATH(bs.read((1 << 20) - 100, buf), "out of range");
+}
+
+namespace {
+
+/** Minor page faults taken so far by the calling thread. */
+long
+threadMinorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+#else
+constexpr bool kAsan = false;
+#endif
+
+} // namespace
+
+// Reads of never-written blocks inside a materialized extent are
+// memsets of the output: they map no page of the extent. The bound is
+// loose (allocator and sanitizer bookkeeping); touching each block
+// would take one fault per block, 511 here.
+TEST(BlockStore, UnwrittenBlocksOfLiveExtentReadWithoutFaults)
+{
+    BlockStore bs(BlockStore::kExtentBytes);
+    const std::vector<std::uint8_t> w(kBlockBytes, 0x5a);
+    bs.write(0, w);
+    std::vector<std::uint8_t> buf(kBlockBytes, 0xff);
+    const long before = threadMinorFaults();
+    bool allZero = true;
+    for (std::uint64_t b = 1; b < BlockStore::kExtentBlocks; b++) {
+        bs.read(b * kBlockBytes, buf);
+        allZero = allZero
+                  && std::all_of(buf.begin(), buf.end(),
+                                 [](std::uint8_t x) { return x == 0; });
+    }
+    const long faults = threadMinorFaults() - before;
+    EXPECT_TRUE(allZero);
+    EXPECT_LE(faults, 32);
+    bs.read(0, buf);
+    EXPECT_EQ(buf, w);
+}
+
+// Extents are page aligned, so a block's first write faults in one host
+// page, not the two a block straddling a page boundary would (128 here).
+TEST(BlockStore, BlockWriteDirtiesOneHostPage)
+{
+    BlockStore bs(BlockStore::kExtentBytes);
+    const std::vector<std::uint8_t> w(kBlockBytes, 0xa5);
+    const long before = threadMinorFaults();
+    for (std::uint64_t i = 0; i < 64; i++)
+        bs.write(2 * i * kBlockBytes, w);
+    const long faults = threadMinorFaults() - before;
+    // ASan's memcpy check reads the shadow of the destination: 64 KiB
+    // for the 512 KiB span written, up to 17 more pages faulted in.
+    EXPECT_LE(faults, 80 + (kAsan ? 17 : 0));
+    EXPECT_EQ(bs.residentBytes(), 64 * kBlockBytes);
+}
+
+namespace {
+
+/**
+ * Seeded unaligned writes, reads, zeroBlocks and isZero against a byte
+ * shadow. Every span stays inside one region of @p regionBytes (a
+ * VolumeStore slot); a quarter of them are placed around a 2 MiB extent
+ * boundary.
+ */
+void
+checkAgainstShadow(BlockStore &bs, std::uint64_t regionBytes,
+                   std::uint64_t seed)
+{
+    const std::uint64_t cap = bs.capacity();
+    std::vector<std::uint8_t> shadow(cap, 0);
+    std::vector<bool> written(cap / kBlockBytes, false);
+    sim::Rng rng(seed);
+
+    // A span of 1 B to 3 blocks inside one region.
+    auto pickSpan = [&](std::uint64_t &addr, std::uint64_t &len) {
+        len = rng.nextRange(1, 3 * kBlockBytes);
+        const std::uint64_t region = rng.nextUint(cap / regionBytes);
+        const std::uint64_t lo = region * regionBytes;
+        const std::uint64_t hi = lo + regionBytes - len;
+        if (rng.nextBool(0.25)) {
+            const std::uint64_t edge
+                = lo + BlockStore::kExtentBytes
+                  * rng.nextRange(1, regionBytes / BlockStore::kExtentBytes
+                                         - 1);
+            addr = std::clamp(edge - rng.nextUint(len + 1), lo, hi);
+        } else {
+            addr = lo + rng.nextUint(hi - lo + 1);
+        }
+    };
+
+    std::vector<std::uint8_t> buf;
+    for (int op = 0; op < 4000; op++) {
+        std::uint64_t addr = 0;
+        std::uint64_t len = 0;
+        pickSpan(addr, len);
+        buf.assign(len, 0);
+        const std::uint64_t kind = rng.nextUint(10);
+        if (kind < 4) {
+            // Some writes are all zeros: written blocks that read zero.
+            const bool zeros = rng.nextBool(0.2);
+            for (auto &x : buf)
+                x = zeros ? 0 : static_cast<std::uint8_t>(rng.next() | 1);
+            bs.write(addr, buf);
+            std::copy(buf.begin(), buf.end(), shadow.begin() + addr);
+            for (std::uint64_t b = addr / kBlockBytes;
+                 b <= (addr + len - 1) / kBlockBytes; b++)
+                written[b] = true;
+        } else if (kind < 7) {
+            bs.read(addr, buf);
+            ASSERT_TRUE(std::equal(buf.begin(), buf.end(),
+                                   shadow.begin() + addr))
+                << "op " << op << " read " << addr << "+" << len;
+        } else if (kind < 9) {
+            const bool expect = std::all_of(
+                shadow.begin() + addr, shadow.begin() + addr + len,
+                [](std::uint8_t x) { return x == 0; });
+            ASSERT_EQ(bs.isZero(addr, len), expect)
+                << "op " << op << " isZero " << addr << "+" << len;
+        } else {
+            const BlockNo first = addr / kBlockBytes;
+            const std::uint64_t count = (addr + len - 1) / kBlockBytes
+                                        - first + 1;
+            bs.zeroBlocks(first, count);
+            std::fill_n(shadow.begin() + first * kBlockBytes,
+                        count * kBlockBytes, 0);
+            std::fill_n(written.begin() + first, count, false);
+        }
+        ASSERT_EQ(bs.residentBytes(),
+                  std::count(written.begin(), written.end(), true)
+                      * kBlockBytes)
+            << "op " << op;
+    }
+    buf.assign(cap, 0xee);
+    for (std::uint64_t r = 0; r < cap / regionBytes; r++)
+        bs.read(r * regionBytes,
+                std::span(buf).subspan(r * regionBytes, regionBytes));
+    EXPECT_EQ(buf, shadow);
+}
+
+} // namespace
+
+TEST(BlockStore, RandomSpansMatchShadow)
+{
+    const std::uint64_t bytes = 3 * BlockStore::kExtentBytes;
+    BlockStore bs(bytes);
+    checkAgainstShadow(bs, bytes, 11);
+
+    BlockStore slot0(bytes);
+    BlockStore slot1(bytes);
+    VolumeStore vol({&slot0, &slot1}, bytes);
+    checkAgainstShadow(vol, bytes, 12);
+    EXPECT_EQ(vol.residentBytes(),
+              slot0.residentBytes() + slot1.residentBytes());
 }
 
 namespace {

@@ -17,6 +17,10 @@
  * shard-scaling table is printed: events/sec at each shard count and
  * the parallel efficiency of the current run relative to the baseline.
  *
+ * A host-cost table prints each scenario's wall time beside the host
+ * minor page faults and system CPU seconds the harness measured
+ * (informational, never gating).
+ *
  * Also diffs the per-scenario simulated metric counters (events
  * executed, IOTLB hit rate, page walks, journal commits, ...) that
  * newer harness outputs embed in each scenario object; scenarios or
@@ -244,14 +248,14 @@ hasField(const Scenario &s, const char *key)
     return s.fields.count(key) != 0;
 }
 
-/** One "base -> cur" cell of the counter diff table ("-" if absent). */
+/** One side of a "base -> cur" table cell ("-" if absent). */
 std::string
-counterCell(const Scenario *s, const char *key)
+counterCell(const Scenario *s, const char *key, const char *fmt = "%.0f")
 {
     if (!s || !hasField(*s, key))
         return "-";
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", numField(*s, key));
+    std::snprintf(buf, sizeof(buf), fmt, numField(*s, key));
     return buf;
 }
 
@@ -266,6 +270,7 @@ isCounterKey(const std::string &k)
     static const char *const kSkip[] = {
         "name", "digest", "wall_sec", "events_per_sec",
         "iops", "kops",   "mb_per_s",
+        "host_minor_faults", "host_sys_sec",
         // Sharding config and host-side scheduling artifacts. Note that
         // "windows" and "messages" are NOT skipped: the round count and
         // cross-domain traffic are virtual-time quantities, identical
@@ -279,6 +284,36 @@ isCounterKey(const std::string &k)
     if (k.rfind("shard_", 0) == 0)
         return false;
     return true;
+}
+
+/**
+ * Host cost beside wall time: the minor page faults and system CPU
+ * seconds perf_harness measured around each scenario. Informational,
+ * never gating; it shows the simulator's own kernel cost, which
+ * user-space timers cannot attribute to a layer.
+ */
+void
+printHostCost(const BenchFile &base, const BenchFile &cur)
+{
+    const bool any = std::any_of(
+        cur.scenarios.begin(), cur.scenarios.end(),
+        [](const Scenario &c) { return hasField(c, "host_minor_faults"); });
+    if (!any)
+        return;
+    std::printf("\nhost cost (base -> cur):\n");
+    std::printf("  %-26s %20s %24s %18s\n", "scenario", "wall(s)",
+                "minor faults", "sys(s)");
+    for (const Scenario &c : cur.scenarios) {
+        const Scenario *b = findScenario(base, c.name);
+        auto cell = [&](const char *key, const char *fmt) {
+            return counterCell(b, key, fmt) + " -> "
+                   + counterCell(&c, key, fmt);
+        };
+        std::printf("  %-26s %20s %24s %18s\n", c.name.c_str(),
+                    cell("wall_sec", "%.3f").c_str(),
+                    cell("host_minor_faults", "%.0f").c_str(),
+                    cell("host_sys_sec", "%.3f").c_str());
+    }
 }
 
 /**
@@ -608,6 +643,7 @@ main(int argc, char **argv)
                     growth, *maxRssGrowthPct,
                     rssViolation ? "EXCEEDED" : "ok");
     }
+    printHostCost(base, cur);
     printShardScaling(base, cur);
     printReactorBreakdown(cur);
     printDeviceBreakdown(cur);
