@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the per-figure/table benchmark binaries: aligned
- * table printing and system/job construction shortcuts.
+ * Shared helpers for the bench binaries: the one command-line parser
+ * (Cli), trace/metrics capture, aligned table printing, and
+ * system/job construction shortcuts.
  */
 
 #ifndef BPD_BENCH_COMMON_HPP
@@ -14,12 +15,12 @@
 #include <utility>
 #include <vector>
 
-#include <sys/resource.h>
-
+#include "bench/bench_json.hpp"
 #include "obs/export.hpp"
 #include "obs/replay.hpp"
 #include "sim/hash.hpp"
 #include "sim/logging.hpp"
+#include "sim/sim_executor.hpp"
 #include "sim/stats.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
@@ -80,18 +81,6 @@ makeSystem(std::uint64_t deviceBytes = 32ull << 30,
     return std::make_unique<sys::System>(cfg);
 }
 
-/** Run one fio job on a fresh system. */
-inline wl::FioResult
-runFio(const wl::FioJob &job, sys::SystemConfig cfg = {})
-{
-    sim::setVerbose(false);
-    if (cfg.deviceBytes == (sys::SystemConfig{}).deviceBytes)
-        cfg.deviceBytes = 64ull << 30;
-    sys::System s(cfg);
-    wl::FioRunner runner(s);
-    return runner.run(job);
-}
-
 /**
  * Shared --trace/--metrics plumbing for the bench binaries. Each traced
  * run (a System lifetime) is captured as one Perfetto process; all
@@ -124,37 +113,6 @@ struct ObsCapture
     {
         return !tracePath.empty() || !streamPath.empty()
                || !metricsPath.empty();
-    }
-
-    /**
-     * Consume "--trace FILE", "--trace-stream FILE", "--metrics FILE"
-     * or "--trace-level N" at argv[i]. Returns how many argv slots
-     * were consumed (0 when the argument is not one of ours).
-     */
-    int
-    parseArg(int argc, char **argv, int i)
-    {
-        const std::string a = argv[i];
-        if (a == "--trace" && i + 1 < argc) {
-            tracePath = argv[i + 1];
-            return 2;
-        }
-        if (a == "--trace-stream" && i + 1 < argc) {
-            streamPath = argv[i + 1];
-            return 2;
-        }
-        if (a == "--metrics" && i + 1 < argc) {
-            metricsPath = argv[i + 1];
-            return 2;
-        }
-        if (a == "--trace-level" && i + 1 < argc) {
-            const int v = std::atoi(argv[i + 1]);
-            level = v <= 1 ? obs::Level::Requests
-                           : (v == 2 ? obs::Level::Layers
-                                     : obs::Level::Device);
-            return 2;
-        }
-        return 0;
     }
 
     /**
@@ -209,6 +167,25 @@ struct ObsCapture
         runs.push_back(obs::MetricsRun{label, s.metrics.snapshot()});
     }
 
+    /**
+     * Snapshot a run with no System (fig5, table4 drive a bare IOMMU):
+     * tracer @p tr recorded events of @p eq into registry @p reg.
+     */
+    void
+    captureStandalone(const std::string &label, const obs::Tracer &tr,
+                      const sim::EventQueue &eq,
+                      const obs::MetricsRegistry &reg)
+    {
+        Capture c;
+        c.label = label;
+        c.data = tr.data();
+        c.meta.digest = obs::replayDigest(c.data.replay);
+        c.meta.events = eq.executed();
+        c.meta.simNs = eq.now();
+        traces.push_back(std::move(c));
+        runs.push_back(obs::MetricsRun{label, reg.snapshot()});
+    }
+
     /** Write the requested output files; false on I/O error. */
     bool
     write()
@@ -246,90 +223,6 @@ struct ObsCapture
 };
 
 /**
- * Minimal "bypassd-bench-v1" emitter for the figure benches (--out).
- * Each scenario is a flat object of raw JSON tokens — the same schema
- * perf_harness writes — so tools/perf_report can diff any two files,
- * including the per-tenant keys.
- */
-struct BenchJson
-{
-    struct Scenario
-    {
-        std::string name;
-        std::vector<std::pair<std::string, std::string>> fields;
-    };
-    std::vector<Scenario> scenarios;
-
-    Scenario &
-    add(const std::string &name)
-    {
-        scenarios.push_back({name, {}});
-        return scenarios.back();
-    }
-
-    static void
-    field(Scenario &sc, const std::string &k, std::uint64_t v)
-    {
-        sc.fields.emplace_back(
-            k, sim::strf("%llu", static_cast<unsigned long long>(v)));
-    }
-
-    static void
-    fieldF(Scenario &sc, const std::string &k, double v)
-    {
-        sc.fields.emplace_back(k, sim::strf("%.3f", v));
-    }
-
-    /** Quoted string field (e.g. a digest printed as hex). */
-    static void
-    fieldS(Scenario &sc, const std::string &k, const std::string &v)
-    {
-        sc.fields.emplace_back(k, "\"" + v + "\"");
-    }
-
-    bool
-    write(const std::string &path, const std::string &label,
-          bool quick = true, unsigned hostCpus = 0) const
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return false;
-        }
-        std::fprintf(f, "{\n  \"schema\": \"bypassd-bench-v1\",\n");
-        std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-        std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-        if (hostCpus)
-            std::fprintf(f, "  \"host_cpus\": %u,\n", hostCpus);
-        // Real peak RSS so perf_report's --max-rss-growth budget bites
-        // on the figure benches, not just on perf_harness.
-        std::uint64_t peakRss = 0;
-        struct rusage ru
-        {
-        };
-        if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0)
-            peakRss = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-        std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(peakRss));
-        std::fprintf(f, "  \"scenarios\": [\n");
-        for (std::size_t i = 0; i < scenarios.size(); i++) {
-            const Scenario &sc = scenarios[i];
-            std::fprintf(f, "    {\n      \"name\": \"%s\"",
-                         sc.name.c_str());
-            for (const auto &[k, v] : sc.fields)
-                std::fprintf(f, ",\n      \"%s\": %s", k.c_str(),
-                             v.c_str());
-            std::fprintf(f, "\n    }%s\n",
-                         i + 1 < scenarios.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", path.c_str());
-        return true;
-    }
-};
-
-/**
  * Append tenant.<id>.{ssd_ops,iops,fmaps,revocations} fields from the
  * system's tenant accounting; @p measuredSec is the simulated seconds
  * the iops rate is computed over. No-op while accounting is off.
@@ -361,25 +254,262 @@ checkTenantSums(sys::System &s)
     sim::panicIf(!err.empty(), "tenant attribution broken: " + err);
 }
 
-/** runFio under an ObsCapture: trace/metrics captured as @p label. */
+/**
+ * Run one fio job on a fresh system, captured as @p label when @p obs
+ * is given. Tenant attribution is always on: it only observes the
+ * simulation (digests are unchanged), fills FioResult::tenants, and
+ * makes every run a sum-invariant check.
+ */
 inline wl::FioResult
-runFio(const wl::FioJob &job, sys::SystemConfig cfg, ObsCapture &obs,
-       const std::string &label)
+runFio(const wl::FioJob &job, sys::SystemConfig cfg = {},
+       ObsCapture *obs = nullptr, const std::string &label = "run")
 {
     sim::setVerbose(false);
     if (cfg.deviceBytes == (sys::SystemConfig{}).deviceBytes)
         cfg.deviceBytes = 64ull << 30;
     sys::System s(cfg);
-    obs.attach(s, label);
-    // Attribution is digest-neutral and fills FioResult::tenants, and
-    // every captured bench run doubles as a sum-invariant check.
+    if (obs)
+        obs->attach(s, label);
     s.enableTenantAccounting();
     wl::FioRunner runner(s);
     wl::FioResult res = runner.run(job);
     checkTenantSums(s);
-    obs.capture(label, s);
+    if (obs)
+        obs->capture(label, s);
     return res;
 }
+
+/**
+ * Executor fields of a scenario run under a sim::SimExecutor: shards,
+ * domains, lookahead_ns (0 = unbounded), windows, messages, the summed
+ * barrier_stall_sec and shard_<i>_events. perf_report diffs windows
+ * and messages (virtual-time quantities) and skips the rest, which
+ * depend on placement and on the host.
+ */
+inline void
+execFields(BenchJson::Scenario &sc, const sim::SimExecutor &ex)
+{
+    BenchJson::field(sc, "shards", ex.shardCount());
+    BenchJson::field(sc, "domains", ex.domainCount());
+    BenchJson::field(sc, "lookahead_ns",
+                     ex.lookahead() == sim::kNever ? 0 : ex.lookahead());
+    BenchJson::field(sc, "windows", ex.windows());
+    BenchJson::field(sc, "messages", ex.delivered());
+    double stall = 0;
+    for (unsigned s = 0; s < ex.shardCount(); s++)
+        stall += ex.shardStallSec(s);
+    BenchJson::fieldF(sc, "barrier_stall_sec", stall, 6);
+    for (unsigned s = 0; s < ex.shardCount(); s++)
+        BenchJson::field(sc, sim::strf("shard_%u_events", s),
+                         ex.shardEvents(s));
+}
+
+/** Command-line flags a bench binary may accept. */
+enum CliFlag : unsigned
+{
+    kQuick = 1u << 0,       //!< --quick: the short geometry
+    kShards = 1u << 1,      //!< --shards N: executor shard count (>= 1)
+    kLabel = 1u << 2,       //!< --label NAME: bench-v1 "label"
+    kOut = 1u << 3,         //!< --out FILE: bench-v1 JSON
+    kTrace = 1u << 4,       //!< --trace FILE: retained Perfetto trace
+    kTraceStream = 1u << 5, //!< --trace-stream FILE: streamed trace
+    kMetrics = 1u << 6,     //!< --metrics FILE: metrics JSON
+    kTraceLevel = 1u << 7,  //!< --trace-level N: 1 requests .. 3 device
+};
+
+/** The paper figure and table benches: capture flags only. */
+constexpr unsigned kObsFlags = kTrace | kTraceStream | kMetrics | kTraceLevel;
+/** Figure benches that also write bench-v1 JSON (fig10/11/12). */
+constexpr unsigned kOutFlags = kOut | kObsFlags;
+/**
+ * The geometry benches (perf_harness, fabric_fio, fabric_incast,
+ * fleet_devices). --trace-stream is refused: they trace several
+ * machines from parallel shard threads, and the streaming writer is
+ * single-threaded (DESIGN.md §12).
+ */
+constexpr unsigned kFleetFlags
+    = kQuick | kShards | kLabel | kOut | kTrace | kMetrics | kTraceLevel;
+
+/**
+ * The one command-line parser of the bench binaries. Each binary names
+ * the flag set it accepts (plus, optionally, one switch of its own);
+ * parse() fills the fields and the ObsCapture, and finish() writes
+ * --out and the capture files and yields the exit status.
+ */
+class Cli
+{
+  public:
+    /**
+     * @p label is the bench-v1 label when --label is not accepted or
+     * not given; @p ownSwitch names a binary-specific boolean switch
+     * (read back through ownSwitchSet).
+     */
+    Cli(std::string name, unsigned flags, std::string label = "local",
+        std::string ownSwitch = "")
+        : label(std::move(label)), name_(std::move(name)), flags_(flags),
+          ownSwitch_(std::move(ownSwitch))
+    {
+    }
+
+    bool quick = false;
+    unsigned shards = 1;
+    std::string label;
+    std::string out;
+    bool ownSwitchSet = false;
+    ObsCapture obs;
+
+    /** "usage: NAME [--flag ARG] ..." listing exactly what is accepted. */
+    std::string
+    usage() const
+    {
+        std::string u = "usage: " + name_;
+        for (const Spec &sp : kSpecs) {
+            if (!accepts(sp.flag))
+                continue;
+            u += std::string(" [") + sp.name;
+            if (sp.arg)
+                u += std::string(" ") + sp.arg;
+            u += "]";
+        }
+        if (!ownSwitch_.empty())
+            u += " [" + ownSwitch_ + "]";
+        return u;
+    }
+
+    /**
+     * Parse argv. Returns 0 on success, or 2 after printing why to
+     * stderr: an unknown flag, a missing value, --shards below 1, or
+     * --trace-stream on a binary that cannot stream.
+     */
+    int
+    parse(int argc, char **argv)
+    {
+        for (int i = 1; i < argc; i++) {
+            const std::string a = argv[i];
+            if (!ownSwitch_.empty() && a == ownSwitch_) {
+                ownSwitchSet = true;
+                continue;
+            }
+            const Spec *sp = find(a);
+            if (sp && sp->flag == kTraceStream && !accepts(kTraceStream)) {
+                std::fprintf(stderr,
+                             "%s: --trace-stream is not supported: this "
+                             "bench traces several machines from "
+                             "parallel shard threads and the streaming "
+                             "writer is single-threaded. Use --trace "
+                             "(retained per-system capture) instead.\n",
+                             name_.c_str());
+                return 2;
+            }
+            if (!sp || !accepts(sp->flag))
+                return refuse("unknown option '" + a + "'");
+            if (!sp->arg) {
+                quick = true;
+                continue;
+            }
+            if (i + 1 >= argc)
+                return refuse("missing value for " + a);
+            const char *v = argv[++i];
+            switch (sp->flag) {
+            case kShards: {
+                const int n = std::atoi(v);
+                if (n < 1) {
+                    std::fprintf(stderr, "%s: --shards must be >= 1\n",
+                                 name_.c_str());
+                    return 2;
+                }
+                shards = static_cast<unsigned>(n);
+                break;
+            }
+            case kLabel:
+                label = v;
+                break;
+            case kOut:
+                out = v;
+                break;
+            case kTrace:
+                obs.tracePath = v;
+                break;
+            case kTraceStream:
+                obs.streamPath = v;
+                break;
+            case kMetrics:
+                obs.metricsPath = v;
+                break;
+            default: { // kTraceLevel
+                const int n = std::atoi(v);
+                obs.level = n <= 1 ? obs::Level::Requests
+                                   : (n == 2 ? obs::Level::Layers
+                                             : obs::Level::Device);
+                break;
+            }
+            }
+        }
+        return 0;
+    }
+
+    /** Write the capture files; exit status 0 iff @p ok and no I/O error. */
+    int
+    finish(bool ok = true)
+    {
+        return obs.write() && ok ? 0 : 1;
+    }
+
+    /**
+     * Write --out (when given) and the capture files. Benches without
+     * --quick have a single, short geometry and report it as quick.
+     */
+    int
+    finish(const BenchJson &json, bool ok = true)
+    {
+        bool io = true;
+        if (!out.empty())
+            io = json.write(out, label, quick || !accepts(kQuick),
+                            peakRssBytes());
+        return finish(io && ok);
+    }
+
+  private:
+    bool accepts(unsigned flag) const { return (flags_ & flag) == flag; }
+
+    struct Spec
+    {
+        CliFlag flag;
+        const char *name;
+        const char *arg; //!< value placeholder; null for a switch
+    };
+    static constexpr Spec kSpecs[] = {
+        {kQuick, "--quick", nullptr},
+        {kShards, "--shards", "N"},
+        {kLabel, "--label", "NAME"},
+        {kOut, "--out", "FILE"},
+        {kTrace, "--trace", "FILE"},
+        {kTraceStream, "--trace-stream", "FILE"},
+        {kMetrics, "--metrics", "FILE"},
+        {kTraceLevel, "--trace-level", "N"},
+    };
+
+    static const Spec *
+    find(const std::string &a)
+    {
+        for (const Spec &sp : kSpecs)
+            if (a == sp.name)
+                return &sp;
+        return nullptr;
+    }
+
+    int
+    refuse(const std::string &why) const
+    {
+        std::fprintf(stderr, "%s: %s\n%s\n", name_.c_str(), why.c_str(),
+                     usage().c_str());
+        return 2;
+    }
+
+    std::string name_;
+    unsigned flags_;
+    std::string ownSwitch_;
+};
 
 } // namespace bpd::bench
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the fabric bench binaries (fabric_fio,
- * fabric_incast): the executor/bookkeeping JSON fields and
- * per-connection / per-reactor emission from the target's tables.
+ * Shared helpers for the fleet bench binaries (fabric_fio,
+ * fabric_incast, fleet_devices): the executor/bookkeeping JSON fields
+ * and per-connection / per-reactor emission from the target's tables.
  * Everything here is a pure function of simulation state, so two
  * binaries folding the same state produce the same digest — the
  * property the 1/2/4-shard CI gates compare.
@@ -11,7 +11,6 @@
 #ifndef BPD_BENCH_FABRIC_COMMON_HPP
 #define BPD_BENCH_FABRIC_COMMON_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -22,41 +21,25 @@
 
 namespace bpd::bench {
 
-inline double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Shared executor/bookkeeping fields every fleet scenario emits. */
+/**
+ * Fields every fleet scenario emits: events, host wall_sec and
+ * events_per_sec, the executor fields, beacons, target device_ops and
+ * the digest.
+ */
 inline void
-execFields(BenchJson::Scenario &sc, sys::Fleet &fleet,
-           std::uint64_t digest, double wallSec)
+fleetFields(BenchJson::Scenario &sc, sys::Fleet &fleet,
+            std::uint64_t digest, double wallSec)
 {
-    const sim::SimExecutor &ex = fleet.executor();
     const std::uint64_t events = fleet.totalEvents();
     BenchJson::field(sc, "events", events);
-    BenchJson::fieldF(sc, "wall_sec", wallSec);
+    BenchJson::fieldF(sc, "wall_sec", wallSec, 6);
     BenchJson::fieldF(sc, "events_per_sec",
                       wallSec > 0 ? static_cast<double>(events) / wallSec
                                   : 0.0);
-    BenchJson::field(sc, "shards", ex.shardCount());
-    BenchJson::field(sc, "domains", ex.domainCount());
-    BenchJson::field(sc, "lookahead_ns",
-                     ex.lookahead() == sim::kNever ? 0 : ex.lookahead());
-    BenchJson::field(sc, "windows", ex.windows());
-    BenchJson::field(sc, "messages", ex.delivered());
-    double stall = 0;
-    for (unsigned s = 0; s < ex.shardCount(); s++)
-        stall += ex.shardStallSec(s);
-    BenchJson::fieldF(sc, "barrier_stall_sec", stall);
+    execFields(sc, fleet.executor());
     BenchJson::field(sc, "beacons", fleet.beacons());
     BenchJson::field(sc, "device_ops", fleet.target().dev.totalOps());
-    BenchJson::fieldS(sc, "digest",
-                      sim::strf("%016llx",
-                                static_cast<unsigned long long>(digest)));
+    BenchJson::digest(sc, digest);
 }
 
 /** Per-connection JSON fields from the target's connection table. */

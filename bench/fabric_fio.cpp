@@ -21,23 +21,16 @@
  *    max(1 us, 5%). Exit 1 on violation.
  *
  * Output: bypassd-bench-v1 JSON (--out), perf_report-diffable. The
- * fleet scenarios capture traces per system in retained mode;
- * --trace-stream is refused (the streaming writer is single-threaded,
- * DESIGN.md §12).
- *
- * Usage: fabric_fio [--quick] [--shards N] [--label NAME] [--out FILE]
- *                   [--trace FILE] [--metrics FILE] [--trace-level N]
+ * fleet scenarios capture traces per system in retained mode; the
+ * flags are bench::kFleetFlags, so --trace-stream is refused (the
+ * streaming writer is single-threaded, DESIGN.md §12).
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -169,7 +162,7 @@ runFabricFio(bool quick, unsigned shards, bench::BenchJson &json,
     reactorFields(sc, tgt);
     bench::tenantFields(sc, target,
                         static_cast<double>(runtime) / kSec);
-    execFields(sc, fleet, h, wallSec);
+    fleetFields(sc, fleet, h, wallSec);
 
     std::printf("%-18s %8llu ops %10.0f iops p50 %llu ns p99 %llu ns "
                 "digest %016llx\n",
@@ -283,7 +276,7 @@ runFabricStorm(bool quick, unsigned shards, bench::BenchJson &json)
     bench::BenchJson::field(sc, "connect_p99_ns", connectLat.p99());
     bench::BenchJson::field(sc, "connect_max_ns", connectLat.max());
     bench::BenchJson::field(sc, "min_ack_spacing_ns", minSpacing);
-    execFields(sc, fleet, h, wallSec);
+    fleetFields(sc, fleet, h, wallSec);
 
     std::printf("%-18s %8llu reads, connect p50 %llu ns p99 %llu ns, "
                 "min ack spacing %llu ns, digest %016llx\n",
@@ -308,8 +301,7 @@ runFabricStorm(bool quick, unsigned shards, bench::BenchJson &json)
  * when any cell violates the latency model's stated bound.
  */
 bool
-runFabricVsLocal(bool quick, unsigned shards, bench::BenchJson &json,
-                 std::uint64_t *digestOut)
+runFabricVsLocal(bool quick, unsigned shards, bench::BenchJson &json)
 {
     const char *name = "fabric_vs_local";
     sim::setVerbose(false);
@@ -423,7 +415,6 @@ runFabricVsLocal(bool quick, unsigned shards, bench::BenchJson &json,
                    && fcell.residual <= fcell.bound;
     }
     h = hashFleetClocks(h, fleet);
-    *digestOut = h;
     const bool ok = fabCells[0].ok && fabCells[1].ok;
 
     bench::banner(name, "local engines vs remote fabric (4 KiB qd-1)");
@@ -461,7 +452,7 @@ runFabricVsLocal(bool quick, unsigned shards, bench::BenchJson &json,
                                  fcell.bound);
     }
     bench::BenchJson::field(sc, "model_ok", ok ? 1 : 0);
-    execFields(sc, fleet, h, 0);
+    fleetFields(sc, fleet, h, 0);
     return ok;
 }
 
@@ -470,68 +461,22 @@ runFabricVsLocal(bool quick, unsigned shards, bench::BenchJson &json,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    unsigned shards = 1;
-    std::string label = "local";
-    std::string out;
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--quick") {
-            quick = true;
-        } else if (a == "--shards" && i + 1 < argc) {
-            const int v = std::atoi(argv[++i]);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "fabric_fio: --shards must be >= 1\n");
-                return 2;
-            }
-            shards = static_cast<unsigned>(v);
-        } else if (a == "--label" && i + 1 < argc) {
-            label = argv[++i];
-        } else if (a == "--out" && i + 1 < argc) {
-            out = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fabric_fio [--quick] [--shards N] "
-                         "[--label NAME] [--out FILE] [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fabric_fio: --trace-stream is not supported: the "
-                     "streaming writer is single-threaded and fabric "
-                     "scenarios trace several machines in parallel. Use "
-                     "--trace (retained per-system capture) instead.\n");
-        return 2;
-    }
+    bench::Cli cli("fabric_fio", bench::kFleetFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("fabric_fio",
-                  quick ? "NVMe-oF fabric target scenarios (quick)"
-                        : "NVMe-oF fabric target scenarios");
+                  cli.quick ? "NVMe-oF fabric target scenarios (quick)"
+                            : "NVMe-oF fabric target scenarios");
 
     bench::BenchJson json;
-    runFabricFio(quick, shards, json, obs);
-    runFabricStorm(quick, shards, json);
-    std::uint64_t vsDigest = 0;
-    const bool modelOk = runFabricVsLocal(quick, shards, json, &vsDigest);
-
-    if (!out.empty()
-        && !json.write(out, label, quick,
-                       std::thread::hardware_concurrency()))
-        return 1;
-    if (!obs.write())
-        return 1;
-    if (!modelOk) {
+    runFabricFio(cli.quick, cli.shards, json, cli.obs);
+    runFabricStorm(cli.quick, cli.shards, json);
+    const bool modelOk = runFabricVsLocal(cli.quick, cli.shards, json);
+    if (!modelOk)
         std::fprintf(stderr,
                      "fabric_fio: latency model bound violated — remote "
                      "mean is not local SPDK + modeled overhead within "
                      "max(1 us, 5%%)\n");
-        return 1;
-    }
-    return 0;
+    return cli.finish(json, modelOk);
 }

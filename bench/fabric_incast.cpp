@@ -32,17 +32,13 @@
  *    product config, so it exits non-zero — CI asserts both exits.
  *
  * Output: bypassd-bench-v1 JSON (--out), perf_report-diffable; the
- * per-cell digests gate at 1/2/4 shards in CI. --trace-stream is
- * refused like fabric_fio (single-threaded streaming writer).
- *
- * Usage: fabric_incast [--quick] [--shards N] [--no-admission]
- *                      [--label NAME] [--out FILE] [--trace FILE]
- *                      [--metrics FILE] [--trace-level N]
+ * per-cell digests gate at 1/2/4 shards in CI. The flags are
+ * bench::kFleetFlags plus --no-admission; --trace-stream is refused
+ * like fabric_fio (single-threaded streaming writer).
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -249,7 +245,7 @@ runIncastScaling(sys::Fleet &fleet, const Geometry &g, BenchJson &json)
         }
         reactorFields(sc, tgt);
         checkTenantSums(fleet.target());
-        execFields(sc, fleet, h, wallSec);
+        fleetFields(sc, fleet, h, wallSec);
         std::printf("incast_r%u digest %016llx\n", r,
                     static_cast<unsigned long long>(h));
 
@@ -475,7 +471,7 @@ runWeightedChurn(sys::Fleet &fleet, const Geometry &g, BenchJson &json)
     BenchJson::field(sc, "weighted_ok", ok ? 1 : 0);
     reactorFields(sc, tgt);
     checkTenantSums(fleet.target());
-    execFields(sc, fleet, h, wallSec);
+    fleetFields(sc, fleet, h, wallSec);
     std::printf("incast_weighted digest %016llx\n",
                 static_cast<unsigned long long>(h));
 
@@ -652,7 +648,7 @@ runAdmission(sys::Fleet &fleet, const Geometry &g, bool noAdmission,
     BenchJson::field(sc, "tail_bound_ns", bound);
     BenchJson::field(sc, "admission_enforced", noAdmission ? 0 : 1);
     BenchJson::field(sc, "admission_ok", ok ? 1 : 0);
-    execFields(sc, fleet, h, wallSec);
+    fleetFields(sc, fleet, h, wallSec);
     std::printf("incast_admission digest %016llx\n",
                 static_cast<unsigned long long>(h));
     return ok;
@@ -663,61 +659,23 @@ runAdmission(sys::Fleet &fleet, const Geometry &g, bool noAdmission,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    bool noAdmission = false;
-    unsigned shards = 1;
-    std::string label = "local";
-    std::string out;
-    ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--quick") {
-            quick = true;
-        } else if (a == "--no-admission") {
-            noAdmission = true;
-        } else if (a == "--shards" && i + 1 < argc) {
-            const int v = std::atoi(argv[++i]);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "fabric_incast: --shards must be >= 1\n");
-                return 2;
-            }
-            shards = static_cast<unsigned>(v);
-        } else if (a == "--label" && i + 1 < argc) {
-            label = argv[++i];
-        } else if (a == "--out" && i + 1 < argc) {
-            out = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fabric_incast [--quick] [--shards N] "
-                         "[--no-admission] [--label NAME] [--out FILE] "
-                         "[--trace FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
-            return 2;
-        }
-    }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fabric_incast: --trace-stream is not supported "
-                     "(single-threaded streaming writer vs parallel "
-                     "fleet tracing); use --trace instead.\n");
-        return 2;
-    }
+    Cli cli("fabric_incast", kFleetFlags, "local", "--no-admission");
+    if (int rc = cli.parse(argc, argv))
+        return rc;
+    const bool noAdmission = cli.ownSwitchSet;
 
     sim::setVerbose(false);
-    const Geometry g = geometry(quick);
+    const Geometry g = geometry(cli.quick);
 
     sys::FleetConfig fc;
     fc.systems = g.conns + 1;
-    fc.shards = shards;
+    fc.shards = cli.shards;
     fc.topology = sys::FleetTopology::FabricClientsTarget;
     fc.deviceBytes = 8ull << 30;
     fc.seed = 19;
     sys::Fleet fleet(fc);
     fleet.target().enableTenantAccounting();
-    obs.attach(fleet.target(), "fabric_incast/target");
+    cli.obs.attach(fleet.target(), "fabric_incast/target");
 
     BenchJson json;
     runIncastScaling(fleet, g, json);
@@ -726,11 +684,7 @@ main(int argc, char **argv)
     // perturb the earlier cells' digests.
     const bool weightedOk = runWeightedChurn(fleet, g, json);
 
-    obs.capture("fabric_incast/target", fleet.target());
-    bool io = true;
-    if (!out.empty())
-        io = json.write(out, label, quick) && io;
-    io = obs.write() && io;
+    cli.obs.capture("fabric_incast/target", fleet.target());
     if (!ok)
         std::fprintf(stderr,
                      "fabric_incast: admission gate FAILED%s\n",
@@ -739,5 +693,5 @@ main(int argc, char **argv)
     if (!weightedOk)
         std::fprintf(stderr,
                      "fabric_incast: weighted-lane gate FAILED\n");
-    return ok && weightedOk && io ? 0 : 1;
+    return cli.finish(json, ok && weightedOk);
 }

@@ -17,22 +17,9 @@ using namespace bpd::wl;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    std::string outPath;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig10_shared_writers [--out FILE] "
-                         "[--trace FILE] [--trace-stream FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig10_shared_writers", bench::kOutFlags, "fig10");
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 10",
                   "aggregate write bandwidth, multiple writer processes");
@@ -61,9 +48,9 @@ main(int argc, char **argv)
             job.fileBytes = 512ull << 20;
             const std::string label
                 = sim::strf("fig10_%s_%uproc", toString(e), n);
-            FioResult r = bench::runFio(job, {}, obs, label);
+            FioResult r = bench::runFio(job, {}, &cli.obs, label);
             std::printf(" %9.0f", r.bwBytesPerSec() / 1e6);
-            if (!outPath.empty()) {
+            if (!cli.out.empty()) {
                 bench::BenchJson::Scenario &sc = json.add(label);
                 bench::BenchJson::field(sc, "ops", r.ops);
                 bench::BenchJson::field(sc, "bytes", r.bytes);
@@ -97,7 +84,5 @@ main(int argc, char **argv)
                 "path, so aggregate\nbandwidth leads the kernel engines "
                 "at every process count; SPDK cannot\nshare the device "
                 "between processes at all.\n");
-    if (!outPath.empty() && !json.write(outPath, "fig10"))
-        return 1;
-    return obs.write() ? 0 : 1;
+    return cli.finish(json);
 }

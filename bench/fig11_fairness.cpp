@@ -24,31 +24,63 @@ using namespace bpd::wl;
 
 namespace {
 
+constexpr std::uint64_t kFile = 256ull << 20;
+
+/** One reader process: its file, its buffer and its drive loop. */
 struct Reader
 {
     kern::Process *proc = nullptr;
-    bypassd::UserLib *lib = nullptr;
+    bypassd::UserLib *lib = nullptr; //!< null: reads via syscalls
     int fd = -1;
     std::uint32_t fileId = obs::ReplayRec::kNoFile;
     std::vector<std::uint8_t> buf;
     sim::Rng rng{0};
+    std::function<void(Time, long long)> onDone; //!< (issue time, result)
+    std::function<void()> loop;
 };
 
+/**
+ * Closed-loop 4 KiB random reads by @p r until @p tEnd, @p depth in
+ * flight. The loop lives in the Reader, which outlives s.run(); each
+ * completion reports to r.onDone and re-arms it.
+ */
+void
+startReads(sys::System &s, bench::Recorder &rec, Reader &r, Time tEnd,
+           int depth)
+{
+    r.loop = [&s, &rec, &r, tEnd]() {
+        if (s.now() >= tEnd)
+            return;
+        const std::uint64_t off = r.rng.nextUint(kFile / 4096) * 4096;
+        const Time t0 = s.now();
+        auto done = [&r, t0](long long n, kern::IoTrace) {
+            r.onDone(t0, n);
+            r.loop();
+        };
+        if (r.lib)
+            rec.pread(*r.lib, *r.proc, 0, r.fd, r.buf, off, 0, r.fileId,
+                      done);
+        else
+            rec.sysPread(*r.proc, r.fd, r.buf, off, 0, r.fileId, done);
+    };
+    for (int d = 0; d < depth; d++)
+        r.loop();
+}
+
+/** A reader of its own kFile-byte file at @p path. */
 std::unique_ptr<Reader>
 makeReader(sys::System &s, bench::Recorder &rec, const std::string &path,
-           std::uint64_t bytes, std::uint32_t uid, std::uint64_t seed,
-           bool viaBypassd)
+           std::uint32_t uid, std::uint64_t seed, bool viaBypassd)
 {
     auto r = std::make_unique<Reader>();
     r->proc = &s.newProcess(uid, uid);
     r->fileId = rec.file(path);
     const int cfd
-        = rec.createFile(*r->proc, r->fileId, path, bytes, 0,
+        = rec.createFile(*r->proc, r->fileId, path, kFile, 0,
                          viaBypassd ? Engine::Bypassd : Engine::Sync);
     sim::panicIf(cfd < 0, "reader file setup failed");
     if (viaBypassd) {
-        int rc = -1;
-        rec.sysClose(*r->proc, cfd, r->fileId, [&rc](int x) { rc = x; },
+        rec.sysClose(*r->proc, cfd, r->fileId, [](int) {},
                      Engine::Bypassd);
         s.run();
         r->lib = &s.userLib(*r->proc);
@@ -77,17 +109,15 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
     obs.attach(*s, label);
     s->enableTenantAccounting();
     bench::Recorder rec(*s);
-    constexpr std::uint64_t kFile = 256ull << 20;
-
     // Background readers always use the BypassD interface (they model
     // other tenants sharing the device).
     std::vector<std::unique_ptr<Reader>> bgs;
     for (unsigned i = 0; i < backgroundReaders; i++) {
         bgs.push_back(makeReader(*s, rec,
                                  "/bg" + std::to_string(i) + ".dat",
-                                 kFile, 3000 + i, 100 + i, true));
+                                 3000 + i, 100 + i, true));
     }
-    auto fg = makeReader(*s, rec, "/fg.dat", kFile, 2000, 77,
+    auto fg = makeReader(*s, rec, "/fg.dat", 2000, 77,
                          fgEngine == Engine::Bypassd);
 
     const Time start = s->now();
@@ -96,50 +126,18 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
     rec.cpuAcquire(*fg->proc, backgroundReaders + 1);
 
     // Background load: queue depth 4 per process until tEnd.
-    for (auto &bgp : bgs) {
-        Reader *bg = bgp.get();
-        auto loop = std::make_shared<std::function<void()>>();
-        *loop = [bg, loop, tEnd, &s, &rec]() {
-            if (s->now() >= tEnd)
-                return;
-            const std::uint64_t off
-                = bg->rng.nextUint(kFile / 4096) * 4096;
-            rec.pread(*bg->lib, *bg->proc, 0, bg->fd, bg->buf, off, 0,
-                      bg->fileId,
-                      [loop](long long, kern::IoTrace) { (*loop)(); });
-        };
-        for (int d = 0; d < 4; d++)
-            (*loop)();
+    for (auto &bg : bgs) {
+        bg->onDone = [](Time, long long) {};
+        startReads(*s, rec, *bg, tEnd, 4);
     }
-
     // Foreground: QD1 4 KiB random reads; record measured-window ops.
-    auto lat = std::make_shared<sim::Histogram>();
-    {
-        Reader *f = fg.get();
-        auto loop = std::make_shared<std::function<void()>>();
-        *loop = [f, loop, lat, measureStart, tEnd, fgEngine, &s,
-                 &rec]() {
-            if (s->now() >= tEnd)
-                return;
-            const std::uint64_t off
-                = f->rng.nextUint(kFile / 4096) * 4096;
-            const Time t0 = s->now();
-            auto done = [loop, lat, t0, measureStart, tEnd,
-                         &s](long long n, kern::IoTrace) {
-                sim::panicIf(n < 0, "foreground read failed");
-                if (t0 >= measureStart && s->now() <= tEnd)
-                    lat->record(s->now() - t0);
-                (*loop)();
-            };
-            if (fgEngine == Engine::Bypassd)
-                rec.pread(*f->lib, *f->proc, 0, f->fd, f->buf, off, 0,
-                          f->fileId, done);
-            else
-                rec.sysPread(*f->proc, f->fd, f->buf, off, 0, f->fileId,
-                             done);
-        };
-        (*loop)();
-    }
+    sim::Histogram lat;
+    fg->onDone = [&](Time t0, long long n) {
+        sim::panicIf(n < 0, "foreground read failed");
+        if (t0 >= measureStart && s->now() <= tEnd)
+            lat.record(s->now() - t0);
+    };
+    startReads(*s, rec, *fg, tEnd, 1);
 
     s->run();
     rec.cpuRelease(*fg->proc, backgroundReaders + 1);
@@ -152,13 +150,13 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
         const double simSec = static_cast<double>(s->now()) / 1e9;
         bench::BenchJson::field(sc, "events", s->eq.executed());
         bench::BenchJson::field(sc, "sim_ns", s->now());
-        bench::BenchJson::fieldF(sc, "fg_mean_lat_ns", lat->mean());
+        bench::BenchJson::fieldF(sc, "fg_mean_lat_ns", lat.mean());
         bench::BenchJson::field(sc, "device_ops", s->dev.totalOps());
         bench::BenchJson::field(sc, "syscalls",
                                 s->kernel.syscallCount());
         bench::tenantFields(sc, *s, simSec);
     }
-    return lat->mean();
+    return lat.mean();
 }
 
 /**
@@ -176,7 +174,6 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
 bool
 runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
 {
-    constexpr std::uint64_t kFile = 256ull << 20;
     constexpr double kCapIops = 50000.0;
     constexpr unsigned kVictims = 3;
 
@@ -199,12 +196,11 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
         for (unsigned i = 0; i < kVictims; i++) {
             victims.push_back(
                 makeReader(*s, rec, "/victim" + std::to_string(i) + ".dat",
-                           kFile, 2000 + i, 77 + i, true));
+                           2000 + i, 77 + i, true));
         }
         std::unique_ptr<Reader> aggr;
         if (withAggressor) {
-            aggr = makeReader(*s, rec, "/aggr.dat", kFile, 3000, 100,
-                              true);
+            aggr = makeReader(*s, rec, "/aggr.dat", 3000, 100, true);
             qos::TenantLimit lim;
             lim.iopsLimit = static_cast<std::uint64_t>(kCapIops);
             lim.burstOps = 8; // tight bucket: ±8 ops of slack per window
@@ -217,51 +213,23 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
         const unsigned nProcs = kVictims + (withAggressor ? 1 : 0);
         rec.cpuAcquire(*victims[0]->proc, nProcs);
 
-        auto lat = std::make_shared<sim::Histogram>();
-        for (auto &vp : victims) {
-            Reader *v = vp.get();
-            auto loop = std::make_shared<std::function<void()>>();
-            *loop = [v, loop, lat, measureStart, tEnd, &s, &rec]() {
-                if (s->now() >= tEnd)
-                    return;
-                const std::uint64_t off
-                    = v->rng.nextUint(kFile / 4096) * 4096;
-                const Time t0 = s->now();
-                rec.pread(*v->lib, *v->proc, 0, v->fd, v->buf, off, 0,
-                          v->fileId,
-                          [loop, lat, t0, measureStart, tEnd,
-                           &s](long long n, kern::IoTrace) {
-                              sim::panicIf(n < 0, "victim read failed");
-                              if (t0 >= measureStart && s->now() <= tEnd)
-                                  lat->record(s->now() - t0);
-                              (*loop)();
-                          });
+        sim::Histogram lat;
+        for (auto &v : victims) {
+            v->onDone = [&](Time t0, long long n) {
+                sim::panicIf(n < 0, "victim read failed");
+                if (t0 >= measureStart && s->now() <= tEnd)
+                    lat.record(s->now() - t0);
             };
-            (*loop)();
+            startReads(*s, rec, *v, tEnd, 1);
         }
-
-        auto aggrOps = std::make_shared<std::uint64_t>(0);
+        std::uint64_t aggrOps = 0;
         if (withAggressor) {
-            Reader *a = aggr.get();
-            auto loop = std::make_shared<std::function<void()>>();
-            *loop = [a, loop, aggrOps, measureStart, tEnd, &s, &rec]() {
-                if (s->now() >= tEnd)
-                    return;
-                const std::uint64_t off
-                    = a->rng.nextUint(kFile / 4096) * 4096;
-                rec.pread(*a->lib, *a->proc, 0, a->fd, a->buf, off, 0,
-                          a->fileId,
-                          [loop, aggrOps, measureStart, tEnd,
-                           &s](long long n, kern::IoTrace) {
-                              sim::panicIf(n < 0, "aggressor read failed");
-                              if (s->now() > measureStart
-                                  && s->now() <= tEnd)
-                                  (*aggrOps)++;
-                              (*loop)();
-                          });
+            aggr->onDone = [&](Time, long long n) {
+                sim::panicIf(n < 0, "aggressor read failed");
+                if (s->now() > measureStart && s->now() <= tEnd)
+                    aggrOps++;
             };
-            for (int d = 0; d < 16; d++)
-                (*loop)();
+            startReads(*s, rec, *aggr, tEnd, 16);
         }
 
         s->run();
@@ -272,11 +240,11 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
         const double winSec
             = static_cast<double>(tEnd - measureStart) / 1e9;
         if (withAggressor) {
-            cappedP99 = static_cast<double>(lat->p99());
-            aggrIops = static_cast<double>(*aggrOps) / winSec;
+            cappedP99 = static_cast<double>(lat.p99());
+            aggrIops = static_cast<double>(aggrOps) / winSec;
             throttles = s->qos()->throttles();
         } else {
-            baseP99 = static_cast<double>(lat->p99());
+            baseP99 = static_cast<double>(lat.p99());
         }
 
         if (out) {
@@ -285,8 +253,8 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
             bench::BenchJson::field(sc, "events", s->eq.executed());
             bench::BenchJson::field(sc, "sim_ns", s->now());
             bench::BenchJson::fieldF(sc, "victim_p99_ns",
-                                     static_cast<double>(lat->p99()));
-            bench::BenchJson::fieldF(sc, "victim_mean_ns", lat->mean());
+                                     static_cast<double>(lat.p99()));
+            bench::BenchJson::fieldF(sc, "victim_mean_ns", lat.mean());
             bench::BenchJson::field(sc, "device_ops", s->dev.totalOps());
             bench::BenchJson::field(sc, "qos_throttles",
                                     s->qos()->throttles());
@@ -319,28 +287,15 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    std::string outPath;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig11_fairness [--out FILE] "
-                         "[--trace FILE] [--trace-stream FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig11_fairness", bench::kOutFlags, "fig11");
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 11",
                   "4KB random-read latency with background readers");
 
     bench::BenchJson json;
-    bench::BenchJson *out = outPath.empty() ? nullptr : &json;
+    bench::BenchJson *out = cli.out.empty() ? nullptr : &json;
     const unsigned readers[] = {0, 1, 2, 4, 8, 12, 16};
     std::printf("%-10s", "engine");
     for (unsigned n : readers)
@@ -350,17 +305,13 @@ main(int argc, char **argv)
         std::printf("%-10s", toString(e));
         for (unsigned n : readers)
             std::printf(" %8.1f",
-                        foregroundLatency(e, n, obs, out) / 1e3);
+                        foregroundLatency(e, n, cli.obs, out) / 1e3);
         std::printf("\n");
     }
     std::printf("\nPaper shape: latency grows with device load, but "
                 "BypassD stays below\nthe kernel baseline even with 16 "
                 "background readers — the device's\nround-robin queue "
                 "arbitration balances the load.\n");
-    const bool qosOk = runQosGate(obs, out);
-    if (out && !json.write(outPath, "fig11"))
-        return 1;
-    if (!obs.write())
-        return 1;
-    return qosOk ? 0 : 1;
+    const bool qosOk = runQosGate(cli.obs, out);
+    return cli.finish(json, qosOk);
 }

@@ -37,17 +37,9 @@ runOne(WtEngine e, wl::Ycsb w, unsigned threads, bench::ObsCapture &obs)
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig13_wiredtiger_threads [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig13_wiredtiger_threads", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 13", "WiredTiger YCSB throughput vs threads");
 
@@ -65,7 +57,7 @@ main(int argc, char **argv)
              {WtEngine::Sync, WtEngine::Xrp, WtEngine::Bypassd}) {
             std::printf("%-9s", toString(e));
             for (unsigned t : threads)
-                std::printf(" %8.0f", runOne(e, w, t, obs));
+                std::printf(" %8.0f", runOne(e, w, t, cli.obs));
             std::printf("\n");
         }
     }
@@ -73,5 +65,5 @@ main(int argc, char **argv)
                 "over XRP on average,\nlargest at low thread counts; "
                 "D (insert-heavy, cache-resident) shows\nlittle benefit; "
                 "on E (scans) XRP cannot help but BypassD still does.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

@@ -39,17 +39,9 @@ runOne(WtEngine e, wl::Ycsb w, std::uint64_t cacheBytes,
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig14_wiredtiger_cache [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig14_wiredtiger_cache", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 14",
                   "WiredTiger throughput vs cache size (normalized)");
@@ -77,7 +69,7 @@ main(int argc, char **argv)
         std::printf("\n");
         std::vector<double> base;
         for (const auto &c : caches)
-            base.push_back(runOne(WtEngine::Sync, w, c.bytes, obs));
+            base.push_back(runOne(WtEngine::Sync, w, c.bytes, cli.obs));
         std::printf("%-9s", "sync");
         for (std::size_t i = 0; i < std::size(caches); i++)
             std::printf(" %8.2f", 1.0);
@@ -85,7 +77,7 @@ main(int argc, char **argv)
         for (WtEngine e : {WtEngine::Xrp, WtEngine::Bypassd}) {
             std::printf("%-9s", toString(e));
             for (std::size_t i = 0; i < std::size(caches); i++) {
-                const double k = runOne(e, w, caches[i].bytes, obs);
+                const double k = runOne(e, w, caches[i].bytes, cli.obs);
                 std::printf(" %8.2f", k / base[i]);
             }
             std::printf("\n");
@@ -95,5 +87,5 @@ main(int argc, char **argv)
                 "grows (fewer chained\nmisses to offload); BypassD's "
                 "improvement is consistent across cache\nsizes because "
                 "it accelerates every I/O.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

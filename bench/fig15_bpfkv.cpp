@@ -34,17 +34,9 @@ runOne(KvEngine e, unsigned threads, bench::ObsCapture &obs)
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig15_bpfkv [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig15_bpfkv", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 15", "BPF-KV avg and p99.9 request latency");
 
@@ -59,7 +51,7 @@ main(int argc, char **argv)
     for (KvEngine e : engines) {
         std::printf("%-9s", toString(e));
         for (unsigned t : threads) {
-            BpfKv::Result r = runOne(e, t, obs);
+            BpfKv::Result r = runOne(e, t, cli.obs);
             std::printf(" %6.1f/%6.1f", r.latency.mean() / 1e3,
                         static_cast<double>(r.latency.p999()) / 1e3);
         }
@@ -71,5 +63,5 @@ main(int argc, char **argv)
                 "traversals,\nBypassD sits ~4us above SPDK (7 x 550ns "
                 "VBA translations) and ~9.6%%\nbetter than XRP in "
                 "throughput.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

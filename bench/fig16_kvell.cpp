@@ -37,17 +37,9 @@ runOne(KvellEngine e, std::uint32_t qd, wl::Ycsb w, unsigned threads,
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig16_kvell [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig16_kvell", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 16", "KVell throughput and latency for YCSB");
 
@@ -74,7 +66,7 @@ main(int argc, char **argv)
             std::printf("%-10s", v.name);
             for (unsigned t : threads) {
                 KvellModel::Result r
-                    = runOne(v.engine, v.qd, w, t, obs, v.name);
+                    = runOne(v.engine, v.qd, w, t, cli.obs, v.name);
                 std::printf(" %6.0fk/%6.0fus", r.kops(),
                             r.latency.mean() / 1e3);
             }
@@ -87,5 +79,5 @@ main(int argc, char **argv)
                 "kvell_1 (33%%/24%% on B/C) and approaches\nkvell_64 on "
                 "write-heavy A because direct userspace writes dodge the "
                 "ext4\nsame-file write serialization.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

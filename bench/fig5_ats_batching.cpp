@@ -14,17 +14,9 @@ using namespace bpd;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig5_ats_batching [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig5_ats_batching", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 5",
                   "IOMMU overhead vs number of translations per request");
@@ -38,8 +30,8 @@ main(int argc, char **argv)
     // No System here — trace the standalone IOMMU directly.
     bpd::obs::MetricsRegistry reg;
     std::unique_ptr<bpd::obs::Tracer> tr;
-    if (obs.enabled()) {
-        tr = std::make_unique<bpd::obs::Tracer>(eq, obs.level, &reg);
+    if (cli.obs.enabled()) {
+        tr = std::make_unique<bpd::obs::Tracer>(eq, cli.obs.level, &reg);
         mmu.setTracer(tr.get());
     }
     const Pasid pasid = 3;
@@ -66,7 +58,7 @@ main(int argc, char **argv)
     std::printf("\nPaper: ~180-220ns overhead, a slight step at 3+ "
                 "translations,\nflat afterwards (8 FTEs per cacheline).\n");
 
-    if (obs.enabled()) {
+    if (cli.obs.enabled()) {
         reg.counter("iommu", "iotlb_hits").set(mmu.iotlb().hits());
         reg.counter("iommu", "iotlb_misses").set(mmu.iotlb().misses());
         reg.counter("iommu", "walk_cache_hits")
@@ -76,15 +68,7 @@ main(int argc, char **argv)
         reg.counter("iommu", "vba_translations")
             .set(mmu.vbaTranslations());
         reg.counter("iommu", "page_walk_frames").set(mmu.framesRead());
-        bench::ObsCapture::Capture c;
-        c.label = "fig5_ats_batching";
-        c.data = tr->data();
-        c.meta.digest = bpd::obs::replayDigest(c.data.replay);
-        c.meta.events = eq.executed();
-        c.meta.simNs = eq.now();
-        obs.traces.push_back(std::move(c));
-        obs.runs.push_back(
-            bpd::obs::MetricsRun{"fig5_ats_batching", reg.snapshot()});
+        cli.obs.captureStandalone("fig5_ats_batching", *tr, eq, reg);
     }
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

@@ -12,17 +12,9 @@ using namespace bpd::wl;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig6_fio_curves [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig6_fio_curves", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 6",
                   "FIO single-threaded random-access latency/bandwidth");
@@ -51,7 +43,7 @@ main(int argc, char **argv)
                 job.warmup = 1 * kMs;
                 job.fileBytes = 1ull << 30;
                 FioResult r = bench::runFio(
-                    job, {}, obs,
+                    job, {}, &cli.obs,
                     sim::strf("fig6_%s_%s_%uk", toString(e),
                               rw == RwMode::RandRead ? "rd" : "wr",
                               bs >> 10));
@@ -65,5 +57,5 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: spdk < bypassd << io_uring < sync ~ "
                 "libaio;\n4KB read: sync ~7.9us, bypassd ~4.6us (-42%%), "
                 "spdk ~4.2us.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

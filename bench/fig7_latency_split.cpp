@@ -6,9 +6,6 @@
  * With --trace FILE each (bs, engine) cell is captured as a Perfetto
  * process in one Chrome trace-event file; tools/trace_view reproduces
  * this table's per-layer breakdown from that trace.
- *
- * Usage: fig7_latency_split [--trace FILE] [--metrics FILE]
- *                           [--trace-level N]
  */
 
 #include "bench/common.hpp"
@@ -19,17 +16,9 @@ using namespace bpd::wl;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig7_latency_split [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig7_latency_split", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 7", "random read latency breakdown");
 
@@ -50,7 +39,7 @@ main(int argc, char **argv)
             job.fileBytes = 1ull << 30;
             const std::string label = sim::strf(
                 "fig7_%uk_%s", bs >> 10, toString(e));
-            FioResult r = bench::runFio(job, {}, obs, label);
+            FioResult r = bench::runFio(job, {}, &cli.obs, label);
             std::printf("%-8u %-9s %10.0f %10.0f %10.0f %10.0f %10.0f\n",
                         bs >> 10, toString(e), r.avgUserNs,
                         r.avgKernelNs, r.avgTranslateNs, r.avgDeviceNs,
@@ -60,5 +49,5 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: sync spends ~3.8us in the kernel at "
                 "every size;\nBypassD's user time is mostly the DMA "
                 "buffer copy and grows with bs.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

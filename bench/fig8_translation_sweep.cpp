@@ -13,17 +13,9 @@ using namespace bpd::wl;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig8_translation_sweep [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig8_translation_sweep", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 8",
                   "read bandwidth vs VBA translation latency");
@@ -51,7 +43,7 @@ main(int argc, char **argv)
             job.warmup = 1 * kMs;
             job.fileBytes = 1ull << 30;
             FioResult r = bench::runFio(
-                job, cfg, obs,
+                job, cfg, &cli.obs,
                 sim::strf("fig8_vba%lld_%uk", (long long)d, bs >> 10));
             std::printf(" %8.2f", r.bwBytesPerSec() / 1e9);
         }
@@ -67,12 +59,12 @@ main(int argc, char **argv)
         job.warmup = 1 * kMs;
         job.fileBytes = 1ull << 30;
         FioResult r = bench::runFio(
-            job, {}, obs, sim::strf("fig8_sync_%uk", bs >> 10));
+            job, {}, &cli.obs, sim::strf("fig8_sync_%uk", bs >> 10));
         std::printf(" %8.2f", r.bwBytesPerSec() / 1e9);
     }
     std::printf("\n\nPaper shape: bandwidth dips slightly as translation "
                 "slows; even at\n1.35us BypassD clearly beats sync. "
                 "350ns vs 550ns (cached vs uncached\nFTEs) differ "
                 "minimally, so the IOTLB need not cache FTEs.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

@@ -14,17 +14,9 @@ using namespace bpd::wl;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fig9_thread_scaling [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("fig9_thread_scaling", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Fig. 9", "random read latency and IOPS vs threads");
 
@@ -50,7 +42,7 @@ main(int argc, char **argv)
             job.warmup = 1 * kMs;
             job.fileBytes = 512ull << 20;
             FioResult r = bench::runFio(
-                job, {}, obs, sim::strf("fig9_%s_%ut", toString(e), t));
+                job, {}, &cli.obs, sim::strf("fig9_%s_%ut", toString(e), t));
             std::printf(" %5.1fu/%4.0fk", r.latency.mean() / 1e3,
                         r.iops() / 1e3);
         }
@@ -61,5 +53,5 @@ main(int argc, char **argv)
                 "device saturates\n(~1.5M IOPS); io_uring latency blows "
                 "up past 12 threads because each ring\npins an extra "
                 "polling core on the 24-HW-thread machine.\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

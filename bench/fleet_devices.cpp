@@ -24,14 +24,11 @@
  *    when a victim stream did not fail over, or when the surviving
  *    devices' p99 write latency exceeds 2x the no-fault baseline.
  *
- * Usage: fleet_devices [--quick] [--shards N] [--label NAME]
- *                      [--out FILE] [--trace FILE] [--metrics FILE]
- *                      [--trace-level N]
+ * Flags: bench::kFleetFlags (--trace-stream is refused).
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -343,7 +340,7 @@ runSweep(const std::vector<unsigned> &devCounts, unsigned shards,
         BenchJson::field(sc, "lat_p50_ns", all.p50());
         BenchJson::field(sc, "lat_p99_ns", all.p99());
         cellFields(sc, cell, devs, fleet.target());
-        execFields(sc, fleet, cell.digest, cell.wallSec);
+        fleetFields(sc, fleet, cell.digest, cell.wallSec);
         std::printf("%s digest %016llx\n", label.c_str(),
                     static_cast<unsigned long long>(cell.digest));
         obs.capture("fleet_devices/" + label, fleet.target());
@@ -452,7 +449,7 @@ runEviction(unsigned shards, unsigned writes, bool quick, ObsCapture &obs,
     BenchJson::field(sb, "writes_per_stream", writes);
     BenchJson::field(sb, "survivor_p99_ns", baseLat.p99());
     cellFields(sb, cb, devs, base.target());
-    execFields(sb, base, cb.digest, cb.wallSec);
+    fleetFields(sb, base, cb.digest, cb.wallSec);
     std::printf("fleet_eviction_baseline digest %016llx\n",
                 static_cast<unsigned long long>(cb.digest));
 
@@ -467,7 +464,7 @@ runEviction(unsigned shards, unsigned writes, bool quick, ObsCapture &obs,
     BenchJson::field(sc, "survivor_bound_ns", bound);
     BenchJson::field(sc, "eviction_ok", ok ? 1 : 0);
     cellFields(sc, cf, devs, fault.target());
-    execFields(sc, fault, cf.digest, cf.wallSec);
+    fleetFields(sc, fault, cf.digest, cf.wallSec);
     std::printf("fleet_eviction digest %016llx\n",
                 static_cast<unsigned long long>(cf.digest));
     return ok;
@@ -478,60 +475,20 @@ runEviction(unsigned shards, unsigned writes, bool quick, ObsCapture &obs,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    unsigned shards = 1;
-    std::string label = "local";
-    std::string out;
-    ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--quick") {
-            quick = true;
-        } else if (a == "--shards" && i + 1 < argc) {
-            const int v = std::atoi(argv[++i]);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "fleet_devices: --shards must be >= 1\n");
-                return 2;
-            }
-            shards = static_cast<unsigned>(v);
-        } else if (a == "--label" && i + 1 < argc) {
-            label = argv[++i];
-        } else if (a == "--out" && i + 1 < argc) {
-            out = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: fleet_devices [--quick] [--shards N] "
-                         "[--label NAME] [--out FILE] [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fleet_devices: --trace-stream is not supported "
-                     "(single-threaded streaming writer vs parallel "
-                     "fleet tracing); use --trace instead.\n");
-        return 2;
-    }
+    Cli cli("fleet_devices", kFleetFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     sim::setVerbose(false);
-    const unsigned writes = writesPerStream(quick);
+    const unsigned writes = writesPerStream(cli.quick);
     const std::vector<unsigned> devCounts
-        = quick ? std::vector<unsigned>{4}
-                : std::vector<unsigned>{4, 8, 16};
+        = cli.quick ? std::vector<unsigned>{4}
+                    : std::vector<unsigned>{4, 8, 16};
 
     BenchJson json;
-    bool ok = runSweep(devCounts, shards, writes, obs, json);
-    ok = runEviction(shards, writes, quick, obs, json) && ok;
-
-    bool io = true;
-    if (!out.empty())
-        io = json.write(out, label, quick) && io;
-    io = obs.write() && io;
+    bool ok = runSweep(devCounts, cli.shards, writes, cli.obs, json);
+    ok = runEviction(cli.shards, writes, cli.quick, cli.obs, json) && ok;
     if (!ok)
         std::fprintf(stderr, "fleet_devices: self-check FAILED\n");
-    return ok && io ? 0 : 1;
+    return cli.finish(json, ok);
 }

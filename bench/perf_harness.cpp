@@ -35,18 +35,16 @@
  * wall-clock speedup comes from. --shards 1 is the plain
  * single-threaded path, byte-for-byte.
  *
- * Usage: perf_harness [--quick] [--shards N] [--label NAME] [--out FILE]
- *                     [--trace FILE] [--metrics FILE] [--trace-level N]
+ * Flags: bench::kFleetFlags (--trace-stream is refused; see
+ * runFleetFio).
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -63,9 +61,16 @@ using namespace bpd;
 namespace {
 
 using bench::hashHistogram;
+using bench::wallNow;
 using sim::fnv;
 using sim::fnvDouble;
 using sim::kFnvSeed;
+
+/** Simulated counters every scenario reports (see fillCounters). */
+const char *const kCounterKeys[] = {
+    "iotlb_hits",      "iotlb_misses", "walk_cache_misses", "page_walk_frames",
+    "journal_commits", "syscalls",     "vba_translations",  "device_ops",
+};
 
 struct ScenarioResult
 {
@@ -81,29 +86,13 @@ struct ScenarioResult
     long hostMinorFaults = 0;
     double hostSysSec = 0;
 
-    /** Key simulated counters, embedded flat in the scenario JSON so
-     *  tools/perf_report can diff them between runs. */
-    struct Counters
-    {
-        std::uint64_t iotlbHits = 0;
-        std::uint64_t iotlbMisses = 0;
-        std::uint64_t walkCacheMisses = 0;
-        std::uint64_t pageWalkFrames = 0;
-        std::uint64_t journalCommits = 0;
-        std::uint64_t syscalls = 0;
-        std::uint64_t vbaTranslations = 0;
-        std::uint64_t deviceOps = 0;
-    } counters;
+    /** Key simulated counters (kCounterKeys order), embedded flat in
+     *  the scenario JSON so tools/perf_report can diff them. */
+    std::uint64_t counters[std::size(kCounterKeys)] = {};
 
-    /** Sharded-executor stats (present when run under an executor). */
-    unsigned shards = 1;
-    bool sharded = false;
-    std::uint64_t domains = 0;
-    Time lookaheadNs = 0; //!< 0 encodes "unbounded" (no channels)
-    std::uint64_t windows = 0;
-    std::uint64_t messages = 0;
-    double barrierStallSec = 0;
-    std::vector<std::uint64_t> shardEvents;
+    /** bench::execFields of the executor the scenario ran under;
+     *  empty for a single machine at --shards 1 (no executor). */
+    bench::BenchJson::Scenario exec;
 
     double
     eventsPerSec() const
@@ -116,31 +105,15 @@ struct ScenarioResult
 void
 fillCounters(ScenarioResult &r, sys::System &s)
 {
-    r.counters.iotlbHits += s.iommu.iotlb().hits();
-    r.counters.iotlbMisses += s.iommu.iotlb().misses();
-    r.counters.walkCacheMisses += s.iommu.walkCache().misses();
-    r.counters.pageWalkFrames += s.iommu.framesRead();
-    r.counters.journalCommits += s.ext4.journal().committedTxns();
-    r.counters.syscalls += s.kernel.syscallCount();
-    r.counters.vbaTranslations += s.iommu.vbaTranslations();
-    r.counters.deviceOps += s.dev.totalOps();
-}
-
-void
-fillShardStats(ScenarioResult &r, const sim::SimExecutor &ex)
-{
-    r.sharded = true;
-    r.shards = ex.shardCount();
-    r.domains = ex.domainCount();
-    r.lookaheadNs = ex.lookahead() == sim::kNever ? 0 : ex.lookahead();
-    r.windows = ex.windows();
-    r.messages = ex.delivered();
-    r.barrierStallSec = 0;
-    r.shardEvents.clear();
-    for (unsigned s = 0; s < ex.shardCount(); s++) {
-        r.barrierStallSec += ex.shardStallSec(s);
-        r.shardEvents.push_back(ex.shardEvents(s));
-    }
+    const std::uint64_t v[] = {
+        s.iommu.iotlb().hits(), s.iommu.iotlb().misses(),
+        s.iommu.walkCache().misses(), s.iommu.framesRead(),
+        s.ext4.journal().committedTxns(), s.kernel.syscallCount(),
+        s.iommu.vbaTranslations(), s.dev.totalOps(),
+    };
+    static_assert(std::size(v) == std::size(kCounterKeys));
+    for (std::size_t i = 0; i < std::size(v); i++)
+        r.counters[i] += v[i];
 }
 
 /**
@@ -160,12 +133,25 @@ bindSingle(sys::System &s, unsigned shards, const std::string &label)
     return ex;
 }
 
-double
-wallNow()
+/**
+ * Common tail of a single-machine scenario: the digest @p h of its
+ * results closed with the machine's clock and event count, totals,
+ * counters, executor fields, the tenant-sum check and the capture.
+ */
+void
+finishSingle(ScenarioResult &r, std::uint64_t h, sys::System &s,
+             const sim::SimExecutor *ex, bench::ObsCapture &obs)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    h = fnv(h, s.now());
+    h = fnv(h, s.eq.executed());
+    r.digest = h;
+    r.events = s.eq.executed();
+    r.simNs = s.now();
+    fillCounters(r, s);
+    if (ex)
+        bench::execFields(r.exec, *ex);
+    bench::checkTenantSums(s);
+    obs.capture(r.name, s);
 }
 
 /** Fig. 9 cell: 24 threads of 4 KiB BypassD random reads. */
@@ -176,12 +162,9 @@ runFig9Randread(bool quick, unsigned shards, bench::ObsCapture &obs)
     r.name = "fig9_randread_24t";
     r.metricName = "iops";
 
-    sim::setVerbose(false);
-    sys::SystemConfig cfg;
-    cfg.deviceBytes = 16ull << 30;
-    sys::System s(cfg);
-    obs.attach(s, r.name);
-    auto ex = bindSingle(s, shards, r.name);
+    auto s = bench::makeSystem(16ull << 30);
+    obs.attach(*s, r.name);
+    auto ex = bindSingle(*s, shards, r.name);
 
     wl::FioJob job;
     job.engine = wl::Engine::Bypassd;
@@ -193,12 +176,9 @@ runFig9Randread(bool quick, unsigned shards, bench::ObsCapture &obs)
     job.fileBytes = 256ull << 20;
 
     const double t0 = wallNow();
-    wl::FioRunner runner(s);
+    wl::FioRunner runner(*s);
     const wl::FioResult res = runner.run(job);
     r.wallSec = wallNow() - t0;
-
-    r.events = s.eq.executed();
-    r.simNs = s.now();
     r.metric = res.iops();
 
     std::uint64_t h = kFnvSeed;
@@ -206,14 +186,7 @@ runFig9Randread(bool quick, unsigned shards, bench::ObsCapture &obs)
     h = fnv(h, res.bytes);
     h = fnv(h, res.elapsed);
     h = hashHistogram(h, res.latency);
-    h = fnv(h, s.now());
-    h = fnv(h, s.eq.executed());
-    r.digest = h;
-    fillCounters(r, s);
-    if (ex)
-        fillShardStats(r, *ex);
-    bench::checkTenantSums(s);
-    obs.capture(r.name, s);
+    finishSingle(r, h, *s, ex.get(), obs);
     return r;
 }
 
@@ -241,9 +214,6 @@ runFig13WiredTiger(bool quick, unsigned shards, bench::ObsCapture &obs)
     const auto res
         = wt.run(wl::Ycsb::A, threads, quick ? 800 : 2500);
     r.wallSec = wallNow() - t0;
-
-    r.events = s->eq.executed();
-    r.simNs = s->now();
     r.metric = res.kops;
 
     std::uint64_t h = kFnvSeed;
@@ -251,14 +221,7 @@ runFig13WiredTiger(bool quick, unsigned shards, bench::ObsCapture &obs)
     h = fnv(h, res.deviceIos);
     h = fnv(h, res.elapsed);
     h = hashHistogram(h, res.latency);
-    h = fnv(h, s->now());
-    h = fnv(h, s->eq.executed());
-    r.digest = h;
-    fillCounters(r, *s);
-    if (ex)
-        fillShardStats(r, *ex);
-    bench::checkTenantSums(*s);
-    obs.capture(r.name, *s);
+    finishSingle(r, h, *s, ex.get(), obs);
     return r;
 }
 
@@ -273,90 +236,23 @@ runFig12Revocation(bool quick, unsigned shards, bench::ObsCapture &obs)
     auto s = bench::makeSystem(16ull << 30);
     obs.attach(*s, r.name);
     auto ex = bindSingle(*s, shards, r.name);
-    bench::Recorder rec(*s);
-    kern::Process &reader = s->newProcess(1000, 1000);
-    const std::uint32_t sharedDb = rec.file("/shared.db");
-    const int cfd = rec.createFile(reader, sharedDb, "/shared.db",
-                                   1ull << 30, 0, wl::Engine::Bypassd);
-    int rc = -1;
-    rec.sysClose(reader, cfd, sharedDb, [&rc](int cr) { rc = cr; },
-                 wl::Engine::Bypassd);
-    s->run();
-
-    bypassd::UserLib &lib = s->userLib(reader);
-    int fd = -1;
-    rec.open(lib, reader, sharedDb, "/shared.db",
-             fs::kOpenRead | fs::kOpenDirect, [&fd](int f) { fd = f; });
-    s->run();
-    sim::panicIf(fd < 0 || !lib.isDirect(fd), "reader open failed");
-    rec.prepareThread(lib, reader, 0);
-    rec.cpuAcquire(reader, 1);
-
-    const double t0 = wallNow();
     const Time horizon = (quick ? 2 : 8) * kSec;
-    const Time revokeT = horizon / 2;
-    const Time tEnd = s->now() + horizon;
-    sim::TimeSeries throughput(250 * kMs);
-    std::vector<std::uint8_t> buf(4096);
-    sim::Rng rng(5);
-
-    // Owned by this frame, which outlives s->run(); each completion
-    // re-arms the loop through a reference.
-    std::function<void()> loop;
-    loop = [&]() {
-        if (s->now() >= tEnd)
-            return;
-        const std::uint64_t off
-            = rng.nextUint((1ull << 30) / 4096) * 4096;
-        rec.pread(lib, reader, 0, fd, buf, off, 0, sharedDb,
-                  [&](long long n, kern::IoTrace) {
-                      if (n > 0)
-                          throughput.record(s->now(),
-                                            static_cast<double>(n));
-                      loop();
-                  });
-    };
-    loop();
-
-    // The intruder's open fires at an absolute time while reads are in
-    // flight, so it records on a numbered lane of its own process.
-    kern::Process &intruder = s->newProcess(1000, 1000);
-    Time revokeAt = 0;
-    s->eq.schedule(revokeT, [&]() {
-        rec.sysOpen(intruder, sharedDb, "/shared.db", fs::kOpenRead,
-                    [&](int f) {
-                        sim::panicIf(f < 0, "buffered open failed");
-                        revokeAt = s->now();
-                    },
-                    /*lane=*/0);
-    });
-
-    s->run();
-    rec.cpuRelease(reader, 1);
-    r.wallSec = wallNow() - t0;
-
-    r.events = s->eq.executed();
-    r.simNs = s->now();
+    const bench::RevocationRun run
+        = bench::runRevocation(*s, horizon, horizon / 2);
+    r.wallSec = run.wallSec;
 
     double total = 0;
     std::uint64_t h = kFnvSeed;
-    for (std::size_t b = 0; b < throughput.buckets(); b++) {
-        h = fnvDouble(h, throughput.bucketSum(b));
-        total += throughput.bucketSum(b);
+    for (std::size_t b = 0; b < run.throughput.buckets(); b++) {
+        h = fnvDouble(h, run.throughput.bucketSum(b));
+        total += run.throughput.bucketSum(b);
     }
-    h = fnv(h, revokeAt);
-    h = fnv(h, lib.iommuFaults());
+    h = fnv(h, run.revokeAt);
+    h = fnv(h, run.readerFaults);
     h = fnv(h, s->module.revocations());
-    h = fnv(h, s->now());
-    h = fnv(h, s->eq.executed());
-    r.digest = h;
     r.metric = total / 1e6
                / (static_cast<double>(horizon) / kSec); // MB/s
-    fillCounters(r, *s);
-    if (ex)
-        fillShardStats(r, *ex);
-    bench::checkTenantSums(*s);
-    obs.capture(r.name, *s);
+    finishSingle(r, h, *s, ex.get(), obs);
     return r;
 }
 
@@ -452,7 +348,7 @@ runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
     r.events = fleet.totalEvents();
     r.simNs = maxNow;
     r.metric = iops;
-    fillShardStats(r, fleet.executor());
+    bench::execFields(r.exec, fleet.executor());
     return r;
 }
 
@@ -473,72 +369,25 @@ hostUsage()
                                     / 1e6};
 }
 
-std::uint64_t
-peakRssBytes()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // Linux: KiB
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    unsigned shards = 1;
-    std::string label = "local";
-    std::string out;
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        const std::string a = argv[i];
-        if (a == "--quick") {
-            quick = true;
-        } else if (a == "--shards" && i + 1 < argc) {
-            const int v = std::atoi(argv[++i]);
-            if (v < 1) {
-                std::fprintf(stderr, "perf_harness: --shards must be "
-                                     ">= 1\n");
-                return 2;
-            }
-            shards = static_cast<unsigned>(v);
-        } else if (a == "--label" && i + 1 < argc) {
-            label = argv[++i];
-        } else if (a == "--out" && i + 1 < argc) {
-            out = argv[++i];
-        } else if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: perf_harness [--quick] [--shards N] "
-                         "[--label NAME] "
-                         "[--out FILE] [--trace FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
-            return 2;
-        }
-    }
-
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "perf_harness: --trace-stream is not supported: "
-                     "the fleet scenario traces several machines whose "
-                     "spans are produced by parallel shard threads, and "
-                     "the streaming writer is single-threaded. Use "
-                     "--trace (retained per-system capture) instead.\n");
-        return 2;
-    }
+    bench::Cli cli("perf_harness", bench::kFleetFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("perf_harness",
-                  quick ? "simulator wall-clock scenarios (quick)"
-                        : "simulator wall-clock scenarios");
+                  cli.quick ? "simulator wall-clock scenarios (quick)"
+                            : "simulator wall-clock scenarios");
 
     using RunFn = ScenarioResult (*)(bool, unsigned, bench::ObsCapture &);
     std::vector<ScenarioResult> results;
     for (RunFn run : {runFig9Randread, runFig13WiredTiger,
                       runFig12Revocation, runFleetFio}) {
         const HostUsage before = hostUsage();
-        ScenarioResult r = run(quick, shards, obs);
+        ScenarioResult r = run(cli.quick, cli.shards, cli.obs);
         const HostUsage after = hostUsage();
         r.hostMinorFaults = after.minorFaults - before.minorFaults;
         r.hostSysSec = after.sysSec - before.sysSec;
@@ -558,96 +407,37 @@ main(int argc, char **argv)
                     r.hostSysSec);
     }
     std::printf("peak RSS: %.1f MB\n",
-                static_cast<double>(peakRssBytes()) / (1 << 20));
-    std::printf("shards: %u\n", shards);
+                static_cast<double>(bench::peakRssBytes()) / (1 << 20));
+    std::printf("shards: %u\n", cli.shards);
     for (const auto &r : results) {
-        if (!r.sharded)
+        if (r.exec.fields.empty())
             continue;
-        std::printf("%-24s windows %llu, messages %llu, barrier stall "
+        std::printf("%-24s windows %s, messages %s, barrier stall "
                     "%.3fs\n",
-                    r.name.c_str(), (unsigned long long)r.windows,
-                    (unsigned long long)r.messages, r.barrierStallSec);
+                    r.name.c_str(), r.exec.get("windows").c_str(),
+                    r.exec.get("messages").c_str(),
+                    std::atof(r.exec.get("barrier_stall_sec").c_str()));
     }
 
-    if (!out.empty()) {
-        std::FILE *f = std::fopen(out.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", out.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"schema\": \"bypassd-bench-v1\",\n");
-        std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-        std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-        std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-                     (unsigned long long)peakRssBytes());
-        // Shard speedup is bounded by physical parallelism; record the
-        // host's so scaling tables stay interpretable across machines.
-        std::fprintf(f, "  \"host_cpus\": %u,\n",
-                     std::thread::hardware_concurrency());
-        std::fprintf(f, "  \"scenarios\": [\n");
-        for (std::size_t i = 0; i < results.size(); i++) {
-            const auto &r = results[i];
-            std::fprintf(f, "    {\n");
-            std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-            std::fprintf(f, "      \"events\": %llu,\n",
-                         (unsigned long long)r.events);
-            std::fprintf(f, "      \"sim_ns\": %llu,\n",
-                         (unsigned long long)r.simNs);
-            std::fprintf(f, "      \"wall_sec\": %.6f,\n", r.wallSec);
-            std::fprintf(f, "      \"events_per_sec\": %.1f,\n",
-                         r.eventsPerSec());
-            std::fprintf(f, "      \"host_minor_faults\": %ld,\n",
-                         r.hostMinorFaults);
-            std::fprintf(f, "      \"host_sys_sec\": %.6f,\n",
-                         r.hostSysSec);
-            std::fprintf(f, "      \"%s\": %.3f,\n", r.metricName.c_str(),
-                         r.metric);
-            std::fprintf(f, "      \"iotlb_hits\": %llu,\n",
-                         (unsigned long long)r.counters.iotlbHits);
-            std::fprintf(f, "      \"iotlb_misses\": %llu,\n",
-                         (unsigned long long)r.counters.iotlbMisses);
-            std::fprintf(f, "      \"walk_cache_misses\": %llu,\n",
-                         (unsigned long long)r.counters.walkCacheMisses);
-            std::fprintf(f, "      \"page_walk_frames\": %llu,\n",
-                         (unsigned long long)r.counters.pageWalkFrames);
-            std::fprintf(f, "      \"journal_commits\": %llu,\n",
-                         (unsigned long long)r.counters.journalCommits);
-            std::fprintf(f, "      \"syscalls\": %llu,\n",
-                         (unsigned long long)r.counters.syscalls);
-            std::fprintf(f, "      \"vba_translations\": %llu,\n",
-                         (unsigned long long)r.counters.vbaTranslations);
-            std::fprintf(f, "      \"device_ops\": %llu,\n",
-                         (unsigned long long)r.counters.deviceOps);
-            std::fprintf(f, "      \"shards\": %u,\n", r.shards);
-            if (r.sharded) {
-                std::fprintf(f, "      \"domains\": %llu,\n",
-                             (unsigned long long)r.domains);
-                std::fprintf(f, "      \"lookahead_ns\": %llu,\n",
-                             (unsigned long long)r.lookaheadNs);
-                std::fprintf(f, "      \"windows\": %llu,\n",
-                             (unsigned long long)r.windows);
-                std::fprintf(f, "      \"messages\": %llu,\n",
-                             (unsigned long long)r.messages);
-                std::fprintf(f, "      \"barrier_stall_sec\": %.6f,\n",
-                             r.barrierStallSec);
-                for (std::size_t si = 0; si < r.shardEvents.size();
-                     si++)
-                    std::fprintf(f, "      \"shard_%zu_events\": "
-                                    "%llu,\n",
-                                 si,
-                                 (unsigned long long)r.shardEvents[si]);
-            }
-            std::fprintf(f, "      \"digest\": \"%016llx\"\n",
-                         (unsigned long long)r.digest);
-            std::fprintf(f, "    }%s\n",
-                         i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", out.c_str());
+    using F = bench::BenchJson;
+    F json;
+    for (const auto &r : results) {
+        F::Scenario &sc = json.add(r.name);
+        F::field(sc, "events", r.events);
+        F::field(sc, "sim_ns", r.simNs);
+        F::fieldF(sc, "wall_sec", r.wallSec, 6);
+        F::fieldF(sc, "events_per_sec", r.eventsPerSec(), 1);
+        F::field(sc, "host_minor_faults",
+                 static_cast<std::uint64_t>(r.hostMinorFaults));
+        F::fieldF(sc, "host_sys_sec", r.hostSysSec, 6);
+        F::fieldF(sc, r.metricName, r.metric);
+        for (std::size_t i = 0; i < std::size(kCounterKeys); i++)
+            F::field(sc, kCounterKeys[i], r.counters[i]);
+        if (r.exec.fields.empty())
+            F::field(sc, "shards", 1);
+        sc.fields.insert(sc.fields.end(), r.exec.fields.begin(),
+                         r.exec.fields.end());
+        F::digest(sc, r.digest);
     }
-    if (!obs.write())
-        return 1;
-    return 0;
+    return cli.finish(json);
 }

@@ -2,12 +2,13 @@
  * @file
  * Replay-stream recording shim for benches that drive UserLib or the
  * kernel syscall layer directly (fig11/fig12/table1/table5) instead of
- * going through wl::FioRunner. Each wrapper issues the underlying call
- * and books the matching obs::ReplayRec, so traces captured from these
- * benches are replayable with trace_replay exactly like runner
- * workloads. Null-safe: with tracing off every wrapper degenerates to
- * the plain call (same zero-cost-when-disabled contract as the tracer
- * sites in src/).
+ * going through wl::FioRunner, and the fig12 revocation timeline that
+ * fig12_revocation and perf_harness both run. Each wrapper issues the
+ * underlying call and books the matching obs::ReplayRec, so traces
+ * captured from these benches are replayable with trace_replay exactly
+ * like runner workloads. Null-safe: with tracing off every wrapper
+ * degenerates to the plain call (same zero-cost-when-disabled contract
+ * as the tracer sites in src/).
  *
  * Lane discipline follows src/obs/replay.cpp: sequential setup steps
  * (create, close, open) go on the main lane so they barrier on
@@ -21,9 +22,14 @@
 #ifndef BPD_BENCH_RECORDING_HPP
 #define BPD_BENCH_RECORDING_HPP
 
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "bench/bench_json.hpp"
 #include "bypassd/userlib.hpp"
+#include "sim/random.hpp"
+#include "sim/stats.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
 
@@ -246,6 +252,86 @@ class Recorder
 
     sys::System &s_;
 };
+
+/** What one fig12 revocation timeline observed. */
+struct RevocationRun
+{
+    sim::TimeSeries throughput{250 * kMs}; //!< reader bytes per bucket
+    Time revokeAt = 0;            //!< when the intruder's open returned
+    std::uint64_t readerFaults = 0; //!< IOMMU faults the reader's UserLib saw
+    double wallSec = 0;           //!< host seconds of the drive loop
+};
+
+/**
+ * The fig12 timeline on @p s: a reader opens a 1 GiB file through
+ * BypassD and issues QD1 4 KiB random reads for @p horizon; at absolute
+ * time @p revokeT a second process opens the file through the kernel
+ * (buffered), the kernel revokes direct access, and the reader falls
+ * back to the kernel interface. Every step is recorded for replay.
+ */
+inline RevocationRun
+runRevocation(sys::System &s, Time horizon, Time revokeT)
+{
+    Recorder rec(s);
+    kern::Process &reader = s.newProcess(1000, 1000);
+    const std::uint32_t sharedDb = rec.file("/shared.db");
+    const int cfd = rec.createFile(reader, sharedDb, "/shared.db",
+                                   1ull << 30, 0, wl::Engine::Bypassd);
+    rec.sysClose(reader, cfd, sharedDb, [](int) {}, wl::Engine::Bypassd);
+    s.run();
+
+    bypassd::UserLib &lib = s.userLib(reader);
+    int fd = -1;
+    rec.open(lib, reader, sharedDb, "/shared.db",
+             fs::kOpenRead | fs::kOpenDirect, [&fd](int f) { fd = f; });
+    s.run();
+    sim::panicIf(fd < 0 || !lib.isDirect(fd), "reader open failed");
+    rec.prepareThread(lib, reader, 0);
+    rec.cpuAcquire(reader, 1);
+
+    RevocationRun out;
+    const double t0 = wallNow();
+    const Time tEnd = s.now() + horizon;
+    std::vector<std::uint8_t> buf(4096);
+    sim::Rng rng(5);
+
+    // Owned by this frame, which outlives s.run(); each completion
+    // re-arms the loop through a reference.
+    std::function<void()> loop;
+    loop = [&]() {
+        if (s.now() >= tEnd)
+            return;
+        const std::uint64_t off
+            = rng.nextUint((1ull << 30) / 4096) * 4096;
+        rec.pread(lib, reader, 0, fd, buf, off, 0, sharedDb,
+                  [&](long long n, kern::IoTrace) {
+                      if (n > 0)
+                          out.throughput.record(s.now(),
+                                                static_cast<double>(n));
+                      loop();
+                  });
+    };
+    loop();
+
+    // The intruder's open fires at an absolute time while reads are in
+    // flight, so it records on a numbered lane of its own process: a
+    // main-lane record would barrier on the reads in flight.
+    kern::Process &intruder = s.newProcess(1000, 1000);
+    s.eq.schedule(revokeT, [&]() {
+        rec.sysOpen(intruder, sharedDb, "/shared.db", fs::kOpenRead,
+                    [&](int f) {
+                        sim::panicIf(f < 0, "buffered open failed");
+                        out.revokeAt = s.now();
+                    },
+                    /*lane=*/0);
+    });
+
+    s.run();
+    rec.cpuRelease(reader, 1);
+    out.wallSec = wallNow() - t0;
+    out.readerFaults = lib.iommuFaults();
+    return out;
+}
 
 } // namespace bpd::bench
 

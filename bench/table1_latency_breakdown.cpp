@@ -14,25 +14,16 @@ using namespace bpd;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: table1_latency_breakdown [--trace FILE] "
-                         "[--trace-stream FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("table1_latency_breakdown", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Table 1",
                   "latency breakdown of 4KB read() on Optane SSD");
 
     constexpr std::uint16_t kMain = obs::ReplayRec::kMainLane;
     auto s = bench::makeSystem();
-    obs.attach(*s, "table1_breakdown");
+    cli.obs.attach(*s, "table1_breakdown");
     s->enableTenantAccounting();
     bench::Recorder rec(*s);
     kern::Process &p = s->newProcess();
@@ -116,6 +107,6 @@ main(int argc, char **argv)
                 100.0 * static_cast<double>(btotal)
                     / static_cast<double>(total));
     bench::checkTenantSums(*s);
-    obs.capture("table1_breakdown", *s);
-    return obs.write() ? 0 : 1;
+    cli.obs.capture("table1_breakdown", *s);
+    return cli.finish();
 }

@@ -30,17 +30,9 @@ ioatCopy(iommu::Iommu *mmu, Pasid pasid, std::uint64_t srcIova,
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: table4_iommu_overheads [--trace FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("table4_iommu_overheads", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Table 4",
                   "IOMMU translation overheads: IOAT DMA copy latency");
@@ -52,8 +44,8 @@ main(int argc, char **argv)
     // No System here — trace the standalone IOMMU directly.
     bpd::obs::MetricsRegistry reg;
     std::unique_ptr<bpd::obs::Tracer> tr;
-    if (obs.enabled()) {
-        tr = std::make_unique<bpd::obs::Tracer>(eq, obs.level, &reg);
+    if (cli.obs.enabled()) {
+        tr = std::make_unique<bpd::obs::Tracer>(eq, cli.obs.level, &reg);
         mmu.setTracer(tr.get());
     }
 
@@ -101,7 +93,7 @@ main(int argc, char **argv)
                 (unsigned long long)mmu.iotlb().hits(),
                 (unsigned long long)mmu.iotlb().misses());
 
-    if (obs.enabled()) {
+    if (cli.obs.enabled()) {
         reg.counter("iommu", "iotlb_hits").set(mmu.iotlb().hits());
         reg.counter("iommu", "iotlb_misses").set(mmu.iotlb().misses());
         reg.counter("iommu", "walk_cache_hits")
@@ -109,15 +101,7 @@ main(int argc, char **argv)
         reg.counter("iommu", "walk_cache_misses")
             .set(mmu.walkCache().misses());
         reg.counter("iommu", "page_walk_frames").set(mmu.framesRead());
-        bench::ObsCapture::Capture c;
-        c.label = "table4_ioat_copy";
-        c.data = tr->data();
-        c.meta.digest = bpd::obs::replayDigest(c.data.replay);
-        c.meta.events = eq.executed();
-        c.meta.simNs = eq.now();
-        obs.traces.push_back(std::move(c));
-        obs.runs.push_back(
-            bpd::obs::MetricsRun{"table4_ioat_copy", reg.snapshot()});
+        cli.obs.captureStandalone("table4_ioat_copy", *tr, eq, reg);
     }
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

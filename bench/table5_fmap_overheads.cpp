@@ -17,18 +17,9 @@ using namespace bpd;
 int
 main(int argc, char **argv)
 {
-    bench::ObsCapture obs;
-    for (int i = 1; i < argc; i++) {
-        if (int used = obs.parseArg(argc, argv, i)) {
-            i += used - 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: table5_fmap_overheads [--trace FILE] "
-                         "[--trace-stream FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
-            return 2;
-        }
-    }
+    bench::Cli cli("table5_fmap_overheads", bench::kObsFlags);
+    if (int rc = cli.parse(argc, argv))
+        return rc;
 
     bench::banner("Table 5", "fmap() overheads in BypassD");
 
@@ -53,7 +44,7 @@ main(int argc, char **argv)
     for (const Case &c : cases) {
         const std::string label = std::string("table5_fmap_") + c.name;
         auto s = bench::makeSystem(64ull << 30);
-        obs.attach(*s, label);
+        cli.obs.attach(*s, label);
         s->enableTenantAccounting();
         bench::Recorder rec(*s);
         kern::Process &owner = s->newProcess();
@@ -102,10 +93,10 @@ main(int argc, char **argv)
                     c.name, openUs, warmUs, coldUs, c.paperOpen,
                     c.paperWarm, c.paperCold);
         bench::checkTenantSums(*s);
-        obs.capture(label, *s);
+        cli.obs.capture(label, *s);
     }
     std::printf("\nWarm fmap attaches shared leaf tables at PMD (2MiB) "
                 "granularity;\ncold fmap additionally writes one FTE per "
                 "4KiB block (Section 4.1).\n");
-    return obs.write() ? 0 : 1;
+    return cli.finish();
 }

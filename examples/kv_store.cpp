@@ -1,9 +1,8 @@
 /**
  * @file
  * A small persistent hash-table KV store built on the BypassD public
- * API, demonstrating coroutine-style straight-line I/O code over the
- * simulator (sim::Task / sim::Future) and the engine-speedup a real
- * application sees.
+ * API, written as plain completion callbacks over UserLib, and the
+ * engine speedup a real application sees.
  *
  * Layout: one file; bucket b lives at byte b * 512; each 512 B bucket
  * holds up to 7 (key, value) pairs of 32+32 bytes plus a header.
@@ -11,11 +10,13 @@
  *   build/examples/kv_store
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
-#include "sim/coro.hpp"
 #include "sim/hash.hpp"
 #include "system/system.hpp"
 
@@ -39,44 +40,49 @@ struct Bucket
 };
 static_assert(sizeof(Bucket) <= 512);
 
-/** The store: synchronous-looking API over the async UserLib. */
+/**
+ * The store over the async UserLib: every operation takes a completion
+ * callback. A put is a read-modify-write of its bucket. One request is
+ * in flight at a time, so a single bucket buffer serves them all.
+ */
 class TinyKv
 {
   public:
-    TinyKv(sys::System &s, bypassd::UserLib &lib, int fd)
-        : s_(s), lib_(lib), fd_(fd)
-    {
-    }
+    TinyKv(bypassd::UserLib &lib, int fd) : lib_(lib), fd_(fd) {}
 
-    sim::Co<bool>
-    put(std::string key, std::string value)
+    void
+    put(const std::string &key, const std::string &value,
+        std::function<void(bool)> done)
     {
-        Bucket b = co_await load(key);
-        // Update in place if present.
-        for (std::uint32_t i = 0; i < b.count; i++) {
-            if (key == b.slots[i].key) {
-                setSlot(b.slots[i], key, value);
-                co_await store(key, b);
-                co_return true;
+        load(key, [this, key, value, done = std::move(done)](Bucket b) {
+            // Update in place if present, else append.
+            std::uint32_t i = 0;
+            while (i < b.count && key != b.slots[i].key)
+                i++;
+            if (i == b.count) {
+                if (b.count >= kSlots) {
+                    done(false); // bucket full (no chaining in the demo)
+                    return;
+                }
+                b.count++;
             }
-        }
-        if (b.count >= kSlots)
-            co_return false; // bucket full (no chaining in the demo)
-        setSlot(b.slots[b.count], key, value);
-        b.count++;
-        co_await store(key, b);
-        co_return true;
+            setSlot(b.slots[i], key, value);
+            store(key, b, done);
+        });
     }
 
-    sim::Co<std::string>
-    get(std::string key)
+    void
+    get(const std::string &key, std::function<void(std::string)> done)
     {
-        Bucket b = co_await load(key);
-        for (std::uint32_t i = 0; i < b.count; i++) {
-            if (key == b.slots[i].key)
-                co_return std::string(b.slots[i].value);
-        }
-        co_return std::string();
+        load(key, [key, done = std::move(done)](const Bucket &b) {
+            for (std::uint32_t i = 0; i < b.count; i++) {
+                if (key == b.slots[i].key) {
+                    done(std::string(b.slots[i].value));
+                    return;
+                }
+            }
+            done(std::string());
+        });
     }
 
   private:
@@ -97,70 +103,107 @@ class TinyKv
         return (h % kBuckets) * 512;
     }
 
-    sim::Co<Bucket>
-    load(const std::string &key)
+    void
+    load(const std::string &key, std::function<void(Bucket)> done)
     {
-        std::vector<std::uint8_t> raw(512);
-        sim::Future<long long> done;
-        lib_.pread(0, fd_, raw, offsetOf(key), [done](long long n,
-                                                      kern::IoTrace) {
-            done.resolve(n);
-        });
-        const long long n = co_await done;
-        sim::panicIf(n < 0, "kv: read failed");
-        Bucket b;
-        std::memcpy(&b, raw.data(), sizeof(b));
-        co_return b;
+        lib_.pread(0, fd_, raw_, offsetOf(key),
+                   [this, done = std::move(done)](long long n,
+                                                  kern::IoTrace) {
+                       sim::panicIf(n < 0, "kv: read failed");
+                       Bucket b;
+                       std::memcpy(&b, raw_.data(), sizeof(b));
+                       done(b);
+                   });
     }
 
-    sim::Co<bool>
-    store(const std::string &key, const Bucket &b)
+    void
+    store(const std::string &key, const Bucket &b,
+          std::function<void(bool)> done)
     {
-        std::vector<std::uint8_t> raw(512, 0);
-        std::memcpy(raw.data(), &b, sizeof(b));
-        sim::Future<long long> done;
-        lib_.pwrite(0, fd_, raw, offsetOf(key), [done](long long n,
-                                                       kern::IoTrace) {
-            done.resolve(n);
+        std::fill(raw_.begin(), raw_.end(), 0);
+        std::memcpy(raw_.data(), &b, sizeof(b));
+        lib_.pwrite(0, fd_, raw_, offsetOf(key),
+                    [done = std::move(done)](long long n, kern::IoTrace) {
+                        done(n >= 0);
+                    });
+    }
+
+    bypassd::UserLib &lib_;
+    int fd_;
+    std::vector<std::uint8_t> raw_ = std::vector<std::uint8_t>(512);
+};
+
+/** The demo as a chain of callbacks: populate, verify, overwrite. */
+class Demo
+{
+  public:
+    Demo(sys::System &s, TinyKv &kv) : s_(s), kv_(kv), start_(s.now()) {}
+
+    void start() { populate(0); }
+
+    Time elapsed() const { return elapsed_; }
+    std::uint64_t ops() const { return ops_; }
+
+  private:
+    static std::string
+    key(int i)
+    {
+        return "user:" + std::to_string(i);
+    }
+
+    static std::string
+    value(int i)
+    {
+        return "value-" + std::to_string(i * 7);
+    }
+
+    void
+    populate(int i)
+    {
+        if (i == 200) {
+            verify(0);
+            return;
+        }
+        kv_.put(key(i), value(i), [this, i](bool ok) {
+            sim::panicIf(!ok, "put failed");
+            ops_++;
+            populate(i + 1);
         });
-        co_return co_await done >= 0;
+    }
+
+    /** Read back and check a sample. */
+    void
+    verify(int i)
+    {
+        if (i >= 200) {
+            overwrite();
+            return;
+        }
+        kv_.get(key(i), [this, i](const std::string &v) {
+            sim::panicIf(v != value(i), "wrong value!");
+            ops_++;
+            verify(i + 20);
+        });
+    }
+
+    void
+    overwrite()
+    {
+        kv_.put("user:42", "rewritten", [this](bool) {
+            kv_.get("user:42", [this](const std::string &v) {
+                sim::panicIf(v != "rewritten", "overwrite lost");
+                ops_ += 2;
+                elapsed_ = s_.now() - start_;
+            });
+        });
     }
 
     sys::System &s_;
-    bypassd::UserLib &lib_;
-    int fd_;
+    TinyKv &kv_;
+    Time start_;
+    Time elapsed_ = 0;
+    std::uint64_t ops_ = 0;
 };
-
-sim::Task
-demo(sys::System &s, TinyKv &kv, Time *elapsed, std::uint64_t *ops)
-{
-    const Time start = s.now();
-    std::uint64_t count = 0;
-
-    // Populate.
-    for (int i = 0; i < 200; i++) {
-        const bool ok = co_await kv.put("user:" + std::to_string(i),
-                                        "value-" + std::to_string(i * 7));
-        sim::panicIf(!ok, "put failed");
-        count++;
-    }
-    // Read back and verify a sample.
-    for (int i = 0; i < 200; i += 20) {
-        const std::string v
-            = co_await kv.get("user:" + std::to_string(i));
-        sim::panicIf(v != "value-" + std::to_string(i * 7),
-                     "wrong value!");
-        count++;
-    }
-    // Overwrite + re-read.
-    co_await kv.put("user:42", "rewritten");
-    const std::string v = co_await kv.get("user:42");
-    sim::panicIf(v != "rewritten", "overwrite lost");
-    count += 2;
-
-    *elapsed = s.now() - start;
-    *ops = count;
-}
 
 } // namespace
 
@@ -184,11 +227,12 @@ main()
     std::printf("tiny.kv opened, direct=%s\n",
                 lib.isDirect(fd) ? "yes" : "no");
 
-    TinyKv kv(s, lib, fd);
-    Time elapsed = 0;
-    std::uint64_t ops = 0;
-    demo(s, kv, &elapsed, &ops);
+    TinyKv kv(lib, fd);
+    Demo demo(s, kv);
+    demo.start();
     s.run();
+    const Time elapsed = demo.elapsed();
+    const std::uint64_t ops = demo.ops();
 
     std::printf("ran %llu KV ops in %.2fms simulated "
                 "(avg %.2fus/op; puts are read-modify-write)\n",

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/coro.hpp"
 #include "sim/event_queue.hpp"
 
 using namespace bpd;
@@ -206,102 +205,6 @@ TEST(EventQueue, ManyCancelledZombiesDrainCleanly)
     EXPECT_EQ(ran, 500);
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.executed(), 500u);
-}
-
-// --- Coroutine layer ---
-//
-// NOTE: coroutine bodies are free functions taking parameters (copied
-// into the frame), never capturing lambdas — a capturing lambda's
-// captures die with the lambda object while the frame lives on.
-
-namespace {
-
-Task
-delayTask(EventQueue &eq, Time *done)
-{
-    co_await delay(eq, 100);
-    co_await delay(eq, 50);
-    *done = eq.now();
-}
-
-Task
-awaitIntFuture(Future<int> fut, int *got)
-{
-    *got = co_await fut;
-}
-
-Task
-awaitLongFuture(Future<long long> fut, long long *got)
-{
-    *got = co_await fut;
-}
-
-Co<int>
-doubleAfterDelay(EventQueue &eq, int x)
-{
-    co_await delay(eq, 10);
-    co_return x * 2;
-}
-
-Task
-nestedTask(EventQueue &eq, int *got)
-{
-    *got = co_await doubleAfterDelay(eq, 21);
-}
-
-} // namespace
-
-TEST(Coro, DelayAdvancesTime)
-{
-    EventQueue eq;
-    Time done = 0;
-    delayTask(eq, &done);
-    eq.run();
-    EXPECT_EQ(done, 150u);
-}
-
-TEST(Coro, FutureBridgesCallbacks)
-{
-    EventQueue eq;
-    Future<int> fut;
-    int got = 0;
-    awaitIntFuture(fut, &got);
-    eq.schedule(10, [fut]() { fut.resolve(42); });
-    eq.run();
-    EXPECT_EQ(got, 42);
-}
-
-TEST(Coro, FutureResolvedBeforeAwait)
-{
-    EventQueue eq;
-    Future<int> fut;
-    fut.resolve(7);
-    int got = 0;
-    awaitIntFuture(fut, &got);
-    eq.run();
-    EXPECT_EQ(got, 7);
-}
-
-TEST(Coro, NestedCoReturnsValue)
-{
-    EventQueue eq;
-    int got = 0;
-    nestedTask(eq, &got);
-    eq.run();
-    EXPECT_EQ(got, 42);
-    EXPECT_EQ(eq.now(), 10u);
-}
-
-TEST(Coro, ResolverAdapter)
-{
-    EventQueue eq;
-    Future<long long> fut;
-    auto cb = fut.resolver();
-    long long got = 0;
-    awaitLongFuture(fut, &got);
-    eq.schedule(5, [cb]() { cb(99); });
-    eq.run();
-    EXPECT_EQ(got, 99);
 }
 
 /**
