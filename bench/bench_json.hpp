@@ -133,7 +133,11 @@ struct BenchJson
                          i + 1 < scenarios.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
+        const bool ok = std::ferror(f) == 0;
+        if (std::fclose(f) != 0 || !ok) {
+            std::fprintf(stderr, "error writing %s\n", path.c_str());
+            return false;
+        }
         std::printf("wrote %s\n", path.c_str());
         return true;
     }

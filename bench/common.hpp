@@ -128,12 +128,7 @@ struct ObsCapture
         obs::Tracer &t = s.enableTracing(level);
         s.enableTenantAccounting();
         if (!streamPath.empty()) {
-            if (!stream_) {
-                stream_ = std::make_unique<obs::StreamingTraceWriter>();
-                sim::panicIf(!stream_->open(streamPath),
-                             "cannot open --trace-stream file");
-            }
-            stream_->beginProcess(label);
+            stream().beginProcess(label);
             t.setStream(stream_.get());
         }
     }
@@ -156,33 +151,36 @@ struct ObsCapture
                 s.tracer()->setStream(nullptr);
                 stream_->endProcess(s.tracer()->data(), &meta);
             }
-            if (!tracePath.empty()) {
-                Capture c;
-                c.label = label;
-                c.data = s.tracer()->data();
-                c.meta = std::move(meta);
-                traces.push_back(std::move(c));
-            }
+            if (!tracePath.empty())
+                traces.push_back(
+                    {label, s.tracer()->data(), std::move(meta)});
         }
         runs.push_back(obs::MetricsRun{label, s.metrics.snapshot()});
     }
 
     /**
      * Snapshot a run with no System (fig5, table4 drive a bare IOMMU):
-     * tracer @p tr recorded events of @p eq into registry @p reg.
+     * tracer @p tr recorded events of @p eq into registry @p reg. The
+     * tracer retained its spans (nothing attached a stream to it), so
+     * --trace-stream gets them here as one process.
      */
     void
     captureStandalone(const std::string &label, const obs::Tracer &tr,
                       const sim::EventQueue &eq,
                       const obs::MetricsRegistry &reg)
     {
-        Capture c;
-        c.label = label;
-        c.data = tr.data();
-        c.meta.digest = obs::replayDigest(c.data.replay);
-        c.meta.events = eq.executed();
-        c.meta.simNs = eq.now();
-        traces.push_back(std::move(c));
+        obs::ReplayMeta meta;
+        meta.digest = obs::replayDigest(tr.data().replay);
+        meta.events = eq.executed();
+        meta.simNs = eq.now();
+        if (!streamPath.empty()) {
+            stream().beginProcess(label);
+            for (const obs::SpanRec &rec : tr.data().spans)
+                stream_->onSpan(rec, tr.data().tracks);
+            stream_->endProcess(tr.data(), &meta);
+        }
+        if (!tracePath.empty())
+            traces.push_back({label, tr.data(), std::move(meta)});
         runs.push_back(obs::MetricsRun{label, reg.snapshot()});
     }
 
@@ -191,34 +189,43 @@ struct ObsCapture
     write()
     {
         bool ok = true;
+        auto report = [&ok](bool written, const std::string &path) {
+            if (written)
+                std::printf("wrote %s\n", path.c_str());
+            else
+                std::fprintf(stderr, "error writing %s\n", path.c_str());
+            ok &= written;
+        };
         if (!tracePath.empty()) {
             std::vector<obs::TraceProcess> procs;
             procs.reserve(traces.size());
             for (const auto &c : traces)
                 procs.push_back(
                     obs::TraceProcess{c.label, &c.data, &c.meta});
-            if (obs::writeChromeTraceFile(tracePath, procs))
-                std::printf("wrote %s\n", tracePath.c_str());
-            else
-                ok = false;
+            report(obs::writeChromeTraceFile(tracePath, procs), tracePath);
         }
         if (stream_) {
-            if (stream_->close())
-                std::printf("wrote %s\n", streamPath.c_str());
-            else
-                ok = false;
+            report(stream_->close(), streamPath);
             stream_.reset();
         }
-        if (!metricsPath.empty()) {
-            if (obs::writeMetricsFile(metricsPath, runs))
-                std::printf("wrote %s\n", metricsPath.c_str());
-            else
-                ok = false;
-        }
+        if (!metricsPath.empty())
+            report(obs::writeMetricsFile(metricsPath, runs), metricsPath);
         return ok;
     }
 
   private:
+    /** The --trace-stream writer, opened on first use. */
+    obs::StreamingTraceWriter &
+    stream()
+    {
+        if (!stream_) {
+            stream_ = std::make_unique<obs::StreamingTraceWriter>();
+            sim::panicIf(!stream_->open(streamPath),
+                         "cannot open --trace-stream file");
+        }
+        return *stream_;
+    }
+
     std::unique_ptr<obs::StreamingTraceWriter> stream_;
 };
 

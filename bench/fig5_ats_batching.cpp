@@ -43,12 +43,22 @@ main(int argc, char **argv)
     // Warm the walk cache; FTE leaves are never cached (Section 4.3).
     mmu.translateVbaSync(pasid, base, 4096, false, 1);
 
+    // Each ATS request is traced as one request envelope, laid end to
+    // end (sync translations advance no virtual time), so the trace
+    // carries the measured latencies for trace_view.
+    Time at = 0;
     std::printf("%-14s %16s %16s\n", "translations", "overhead(ns)",
                 "total(ns)");
     for (unsigned n = 1; n <= 12; n++) {
         iommu::TransResult r = mmu.translateVbaSync(
             pasid, base, n * 4096, false, 1);
         sim::panicIf(!r.ok, "translation failed");
+        if (tr) {
+            tr->request(tr->track("ats"), "ats.translate", 0, at,
+                        at + r.latency,
+                        {.translateNs = r.latency, .bytes = n * 4096ull});
+            at += r.latency;
+        }
         const Time overhead
             = r.latency - mmu.profile().pcieRoundTripNs;
         std::printf("%-14u %16llu %16llu\n", n,

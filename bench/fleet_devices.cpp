@@ -270,7 +270,7 @@ cellFields(BenchJson::Scenario &sc, const CellOut &cell, unsigned devs,
         const DevId id = target.devices.slot(d).dev.devId();
         std::uint64_t acctOps = 0, acctBytes = 0;
         target.tenantAccounting().forEachDevice(
-            [&](DevId dev, TenantId, const obs::DeviceTenantCounters &c) {
+            [&](DevId dev, TenantId, const obs::TenantCounters &c) {
                 if (dev != id)
                     return;
                 acctOps += c.ssdOps;

@@ -42,9 +42,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -66,12 +66,6 @@ using sim::fnv;
 using sim::fnvDouble;
 using sim::kFnvSeed;
 
-/** Simulated counters every scenario reports (see fillCounters). */
-const char *const kCounterKeys[] = {
-    "iotlb_hits",      "iotlb_misses", "walk_cache_misses", "page_walk_frames",
-    "journal_commits", "syscalls",     "vba_translations",  "device_ops",
-};
-
 struct ScenarioResult
 {
     std::string name;
@@ -86,9 +80,9 @@ struct ScenarioResult
     long hostMinorFaults = 0;
     double hostSysSec = 0;
 
-    /** Key simulated counters (kCounterKeys order), embedded flat in
-     *  the scenario JSON so tools/perf_report can diff them. */
-    std::uint64_t counters[std::size(kCounterKeys)] = {};
+    /** obs::curatedCounters (fleets sum their machines), embedded
+     *  flat in the scenario JSON so tools/perf_report can diff them. */
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
 
     /** bench::execFields of the executor the scenario ran under;
      *  empty for a single machine at --shards 1 (no executor). */
@@ -101,19 +95,14 @@ struct ScenarioResult
     }
 };
 
-/** Accumulate @p s's counters into @p r (fleets sum their machines). */
+/** Add @p s's curated counters into @p r (fleets sum their machines). */
 void
-fillCounters(ScenarioResult &r, sys::System &s)
+addCounters(ScenarioResult &r, sys::System &s)
 {
-    const std::uint64_t v[] = {
-        s.iommu.iotlb().hits(), s.iommu.iotlb().misses(),
-        s.iommu.walkCache().misses(), s.iommu.framesRead(),
-        s.ext4.journal().committedTxns(), s.kernel.syscallCount(),
-        s.iommu.vbaTranslations(), s.dev.totalOps(),
-    };
-    static_assert(std::size(v) == std::size(kCounterKeys));
-    for (std::size_t i = 0; i < std::size(v); i++)
-        r.counters[i] += v[i];
+    auto c = obs::curatedCounters(s);
+    for (std::size_t i = 0; i < r.counters.size(); i++)
+        c[i].second += r.counters[i].second;
+    r.counters = std::move(c);
 }
 
 /**
@@ -147,7 +136,7 @@ finishSingle(ScenarioResult &r, std::uint64_t h, sys::System &s,
     r.digest = h;
     r.events = s.eq.executed();
     r.simNs = s.now();
-    fillCounters(r, s);
+    addCounters(r, s);
     if (ex)
         bench::execFields(r.exec, *ex);
     bench::checkTenantSums(s);
@@ -338,7 +327,7 @@ runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
         h = fnv(h, s.eq.executed());
         iops += res.iops();
         maxNow = std::max(maxNow, s.now());
-        fillCounters(r, s);
+        addCounters(r, s);
         bench::checkTenantSums(s);
         obs.capture(sim::strf("%s/sys%u", r.name.c_str(), i), s);
     }
@@ -431,8 +420,8 @@ main(int argc, char **argv)
                  static_cast<std::uint64_t>(r.hostMinorFaults));
         F::fieldF(sc, "host_sys_sec", r.hostSysSec, 6);
         F::fieldF(sc, r.metricName, r.metric);
-        for (std::size_t i = 0; i < std::size(kCounterKeys); i++)
-            F::field(sc, kCounterKeys[i], r.counters[i]);
+        for (const auto &[key, v] : r.counters)
+            F::field(sc, key, v);
         if (r.exec.fields.empty())
             F::field(sc, "shards", 1);
         sc.fields.insert(sc.fields.end(), r.exec.fields.begin(),

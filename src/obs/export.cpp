@@ -144,6 +144,16 @@ void printReplaySection(std::FILE *f, const char *name, unsigned pid,
     std::fputs("]}", f);
 }
 
+/**
+ * Close @p f; false if any write failed or the final flush did (a
+ * short document usually sits in the stdio buffer until fclose).
+ */
+bool closeChecked(std::FILE *f)
+{
+    const bool ok = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && ok;
+}
+
 } // namespace
 
 void writeChromeTrace(std::FILE *f,
@@ -226,9 +236,7 @@ bool writeChromeTraceFile(const std::string &path,
     if (!f)
         return false;
     writeChromeTrace(f, processes);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
+    return closeChecked(f);
 }
 
 void writeMetricsJson(std::FILE *f, const std::vector<MetricsRun> &runs)
@@ -261,9 +269,7 @@ bool writeMetricsFile(const std::string &path,
     if (!f)
         return false;
     writeMetricsJson(f, runs);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
+    return closeChecked(f);
 }
 
 StreamingTraceWriter::~StreamingTraceWriter()
@@ -380,8 +386,7 @@ bool StreamingTraceWriter::close()
         std::fputs("\n]", f_);
     }
     std::fputs("}\n", f_);
-    error_ |= std::ferror(f_) != 0;
-    std::fclose(f_);
+    error_ |= !closeChecked(f_);
     f_ = nullptr;
     pending_.clear();
     return !error_;

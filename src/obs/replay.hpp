@@ -181,37 +181,30 @@ configFromMap(const std::vector<std::pair<std::string, double>> &kv)
 }
 
 /**
- * Counter set the round-trip gate compares (the perf_harness
- * fillCounters set). Pulled straight from the component accessors —
- * no tracer needed on the replay side.
+ * Counter set the round-trip gate compares (and perf_harness embeds in
+ * each scenario), read by metric key from the System's counter table —
+ * no tracer needed on the replay side. The legacy names are stored in
+ * trace files. Hardware totals fold over every fleet slot, which on a
+ * single-device system equals slot 0, so old captures still compare
+ * bit-identically.
  */
 inline std::vector<std::pair<std::string, std::uint64_t>>
 curatedCounters(sys::System &s)
 {
-    // Hardware-side counters fold across every fleet slot; on a
-    // single-device system the fold equals the classic slot-0 values,
-    // so old captures compare bit-identically.
-    std::uint64_t tlbHits = 0, tlbMisses = 0, wcMisses = 0, frames = 0,
-                  vba = 0, devOps = 0;
-    for (std::size_t i = 0; i < s.devices.size(); i++) {
-        const iommu::Iommu &mmu = s.devices.slot(i).iommu;
-        tlbHits += mmu.iotlb().hits();
-        tlbMisses += mmu.iotlb().misses();
-        wcMisses += mmu.walkCache().misses();
-        frames += mmu.framesRead();
-        vba += mmu.vbaTranslations();
-        devOps += s.devices.slot(i).dev.totalOps();
-    }
-    return {
-        {"iotlb_hits", tlbHits},
-        {"iotlb_misses", tlbMisses},
-        {"walk_cache_misses", wcMisses},
-        {"page_walk_frames", frames},
-        {"journal_commits", s.ext4.journal().committedTxns()},
-        {"syscalls", s.kernel.syscallCount()},
-        {"vba_translations", vba},
-        {"device_ops", devOps},
+    static const std::pair<const char *, const char *> kCurated[] = {
+        {"iotlb_hits", "iommu.iotlb_hits"},
+        {"iotlb_misses", "iommu.iotlb_misses"},
+        {"walk_cache_misses", "iommu.walk_cache_misses"},
+        {"page_walk_frames", "iommu.page_walk_frames"},
+        {"journal_commits", "fs.journal_commits"},
+        {"syscalls", "kern.syscalls"},
+        {"vba_translations", "iommu.vba_translations"},
+        {"device_ops", "ssd.ops"},
     };
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto &[name, key] : kCurated)
+        out.emplace_back(name, s.counterTotal(key));
+    return out;
 }
 
 /** Knobs for re-driving a stream under a different configuration. */

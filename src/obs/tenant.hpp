@@ -17,6 +17,15 @@
  * stay system-only: a hit caused by one tenant's fill serving another
  * has no honest single owner.
  *
+ * Each field below is named once more, in the counter table of
+ * src/system/system.cpp: its metric key, this member, and where its
+ * system total comes from (a per-slot hardware counter folded over the
+ * fleet, or a System-wide stat). System::verifyTenantSums and
+ * System::collectMetrics both loop over that table, so a field added
+ * here without a row there is neither exported nor checked — add both.
+ * The (device, tenant) rows reuse this struct; member pointers address
+ * both axes.
+ *
  * Header-only on purpose: bpd_fs / bpd_ssd / bpd_iommu do not link
  * bpd_obs, but all of them attribute work to tenants.
  */
@@ -67,25 +76,6 @@ struct TenantCounters
 };
 
 /**
- * One (device, tenant) slice of the device-attributable counters.
- * Only the ssd and iommu keys have a per-device axis: those layers
- * act on behalf of exactly one device per operation. fs/kern/bypassd
- * counters stay device-less (a journal record or fmap is not "on" a
- * device in any honest sense — placement decides later).
- */
-struct DeviceTenantCounters
-{
-    std::uint64_t ssdOps = 0;
-    std::uint64_t ssdReadBytes = 0;
-    std::uint64_t ssdWriteBytes = 0;
-    std::uint64_t ssdTranslationFaults = 0;
-
-    std::uint64_t iommuVbaTranslations = 0;
-    std::uint64_t iommuVbaFaults = 0;
-    std::uint64_t iommuPageWalkFrames = 0;
-};
-
-/**
  * The per-tenant counter table. One instance lives in the System;
  * every component that attributes work holds a pointer to it (null
  * when accounting is off).
@@ -104,8 +94,13 @@ class TenantAccounting
     /** Find-or-create the counter row for @p id. */
     TenantCounters &of(TenantId id) { return tenants_[id]; }
 
-    /** Find-or-create the (device, tenant) row. */
-    DeviceTenantCounters &dev(DevId d, TenantId id)
+    /**
+     * Find-or-create the (device, tenant) row. Only the ssd.* and
+     * iommu.* fields are ever non-zero: those layers act on behalf of
+     * exactly one device per operation, while a journal record or an
+     * fmap is not "on" a device in any honest sense.
+     */
+    TenantCounters &dev(DevId d, TenantId id)
     {
         return devTenants_[{d, id}];
     }
@@ -134,8 +129,7 @@ class TenantAccounting
 
   private:
     std::map<TenantId, TenantCounters> tenants_;
-    std::map<std::pair<DevId, TenantId>, DeviceTenantCounters>
-        devTenants_;
+    std::map<std::pair<DevId, TenantId>, TenantCounters> devTenants_;
 };
 
 } // namespace bpd::obs

@@ -608,7 +608,7 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         writeBytes_ += cmd.len;
     if (acct_) {
         obs::TenantCounters &tc = acct_->of(tenant);
-        obs::DeviceTenantCounters &dc = acct_->dev(devId_, tenant);
+        obs::TenantCounters &dc = acct_->dev(devId_, tenant);
         if (cmd.op == Op::Read) {
             tc.ssdReadBytes += cmd.len;
             dc.ssdReadBytes += cmd.len;

@@ -1,10 +1,148 @@
 #include "system/system.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "sim/logging.hpp"
 
 namespace bpd::sys {
+
+namespace {
+
+using TC = obs::TenantCounters;
+using Slot = const ssd::DeviceSlot &;
+
+/**
+ * One counter the System exports from component stats. kCounters is
+ * the one place that names a counter's metric key, the tenant slice
+ * that shadows it and the source of its system total; collectMetrics()
+ * exports it, verifyTenantSums() checks it and counterTotal() serves it
+ * by key (obs::curatedCounters).
+ */
+struct CounterRow
+{
+    const char *group;
+    const char *name;
+    /** The tenant's slice; null when no tenant honestly owns the
+     *  counter (a shared IOTLB hit may serve another tenant's fill). */
+    std::uint64_t TC::*tenant;
+    /** Per-slot hardware source, summed over the fleet for the total.
+     *  Attributed ones also have a (device, tenant) axis. */
+    std::uint64_t (*slot)(Slot);
+    /** Otherwise: the System-wide total. */
+    std::uint64_t (*total)(System &) = nullptr;
+    /** Exported only while QoS is on (non-QoS key sets stay exact). */
+    bool qosOnly = false;
+};
+
+constexpr CounterRow kCounters[] = {
+    {"sim", "events_executed", nullptr, nullptr,
+     [](System &s) { return s.eq.executed(); }},
+    {"kern", "syscalls", &TC::kernSyscalls, nullptr,
+     [](System &s) { return s.kernel.syscallCount(); }},
+    {"ssd", "ops", &TC::ssdOps, [](Slot d) { return d.dev.totalOps(); }},
+    {"ssd", "read_bytes", &TC::ssdReadBytes,
+     [](Slot d) { return d.dev.readBytes(); }},
+    {"ssd", "write_bytes", &TC::ssdWriteBytes,
+     [](Slot d) { return d.dev.writeBytes(); }},
+    {"ssd", "translation_faults", &TC::ssdTranslationFaults,
+     [](Slot d) { return d.dev.translationFaults(); }},
+    {"iommu", "vba_translations", &TC::iommuVbaTranslations,
+     [](Slot d) { return d.iommu.vbaTranslations(); }},
+    {"iommu", "vba_faults", &TC::iommuVbaFaults,
+     [](Slot d) { return d.iommu.vbaFaults(); }},
+    {"iommu", "page_walk_frames", &TC::iommuPageWalkFrames,
+     [](Slot d) { return d.iommu.framesRead(); }},
+    {"iommu", "iotlb_hits", nullptr,
+     [](Slot d) { return d.iommu.iotlb().hits(); }},
+    {"iommu", "iotlb_misses", nullptr,
+     [](Slot d) { return d.iommu.iotlb().misses(); }},
+    {"iommu", "walk_cache_hits", nullptr,
+     [](Slot d) { return d.iommu.walkCache().hits(); }},
+    {"iommu", "walk_cache_misses", nullptr,
+     [](Slot d) { return d.iommu.walkCache().misses(); }},
+    {"fs", "journal_commits", nullptr, nullptr,
+     [](System &s) { return s.ext4.journal().committedTxns(); }},
+    {"fs", "journal_records", &TC::fsJournalRecords, nullptr,
+     [](System &s) { return s.ext4.journal().records(); }},
+    {"fs", "metadata_ops", &TC::fsMetadataOps, nullptr,
+     [](System &s) { return s.ext4.metadataOps(); }},
+    {"fs", "page_cache_hits", &TC::fsPageCacheHits, nullptr,
+     [](System &s) { return s.kernel.pageCache().hits(); }},
+    {"fs", "page_cache_misses", &TC::fsPageCacheMisses, nullptr,
+     [](System &s) { return s.kernel.pageCache().misses(); }},
+    {"bypassd", "cold_fmaps", &TC::bypassdColdFmaps, nullptr,
+     [](System &s) { return s.module.coldFmaps(); }},
+    {"bypassd", "warm_fmaps", &TC::bypassdWarmFmaps, nullptr,
+     [](System &s) { return s.module.warmFmaps(); }},
+    {"bypassd", "rejected_fmaps", &TC::bypassdRejectedFmaps, nullptr,
+     [](System &s) { return s.module.rejectedFmaps(); }},
+    {"bypassd", "revoked_victims", &TC::bypassdRevokedVictims, nullptr,
+     [](System &s) { return s.module.revokedVictims(); }},
+    {"bypassd", "revocations", nullptr, nullptr,
+     [](System &s) { return s.module.revocations(); }},
+    {"qos", "admits", nullptr, nullptr,
+     [](System &s) { return s.qos() ? s.qos()->admits() : 0; }, true},
+    {"qos", "throttles", &TC::qosThrottles, nullptr,
+     [](System &s) { return s.qos() ? s.qos()->throttles() : 0; }, true},
+    {"qos", "throttled_bytes", &TC::qosThrottledBytes, nullptr,
+     [](System &s) { return s.qos() ? s.qos()->throttledBytes() : 0; },
+     true},
+};
+
+/** UserLib stats live per process (a process is a tenant). */
+constexpr std::pair<const char *,
+                    std::uint64_t (bypassd::UserLib::*)() const>
+    kUserLibCounters[] = {
+        {"direct_reads", &bypassd::UserLib::directReads},
+        {"direct_writes", &bypassd::UserLib::directWrites},
+        {"kernel_fallback_ops", &bypassd::UserLib::kernelFallbackOps},
+        {"iommu_faults", &bypassd::UserLib::iommuFaults},
+};
+
+/** The rows with a (device, tenant) axis. */
+constexpr bool
+perDevice(const CounterRow &r)
+{
+    return r.tenant && r.slot;
+}
+
+/** @p get summed over every fleet slot: the one fold of hardware
+ *  counters (slot 0's value when maxDevices == 1). */
+std::uint64_t
+foldSlots(const DeviceMap &devices, std::uint64_t (*get)(Slot))
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < devices.size(); i++)
+        v += get(devices.slot(i));
+    return v;
+}
+
+std::uint64_t
+totalOf(System &s, const CounterRow &r)
+{
+    return r.slot ? foldSlots(s.devices, r.slot) : r.total(s);
+}
+
+void
+addRow(TC &out, const TC &in)
+{
+    for (const CounterRow &r : kCounters)
+        if (r.tenant)
+            out.*r.tenant += in.*r.tenant;
+}
+
+/** "ssd.dev3"-style per-device group. */
+std::string
+devGroup(const char *group, DevId d)
+{
+    return sim::strf("%s.dev%u", group, unsigned(d));
+}
+
+} // namespace
 
 DeviceMapConfig
 System::mapCfgOf(const SystemConfig &c)
@@ -209,324 +347,114 @@ System::verifyTenantSums()
 {
     if (!acctEnabled_)
         return {};
-    obs::TenantCounters sum;
-    acct_.forEach([&](TenantId, const obs::TenantCounters &tc) {
-        sum.kernSyscalls += tc.kernSyscalls;
-        sum.ssdOps += tc.ssdOps;
-        sum.ssdReadBytes += tc.ssdReadBytes;
-        sum.ssdWriteBytes += tc.ssdWriteBytes;
-        sum.ssdTranslationFaults += tc.ssdTranslationFaults;
-        sum.iommuVbaTranslations += tc.iommuVbaTranslations;
-        sum.iommuVbaFaults += tc.iommuVbaFaults;
-        sum.iommuPageWalkFrames += tc.iommuPageWalkFrames;
-        sum.fsJournalRecords += tc.fsJournalRecords;
-        sum.fsMetadataOps += tc.fsMetadataOps;
-        sum.fsPageCacheHits += tc.fsPageCacheHits;
-        sum.fsPageCacheMisses += tc.fsPageCacheMisses;
-        sum.bypassdColdFmaps += tc.bypassdColdFmaps;
-        sum.bypassdWarmFmaps += tc.bypassdWarmFmaps;
-        sum.bypassdRejectedFmaps += tc.bypassdRejectedFmaps;
-        sum.bypassdRevokedVictims += tc.bypassdRevokedVictims;
-        sum.qosThrottles += tc.qosThrottles;
-        sum.qosThrottledBytes += tc.qosThrottledBytes;
-    });
-    // Fleet totals: the hardware-side counters fold across every slot.
-    std::uint64_t devOps = 0, devRead = 0, devWrite = 0, devTf = 0;
-    std::uint64_t ioTrans = 0, ioFaults = 0, ioFrames = 0;
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        devOps += d.totalOps();
-        devRead += d.readBytes();
-        devWrite += d.writeBytes();
-        devTf += d.translationFaults();
-        ioTrans += mmu.vbaTranslations();
-        ioFaults += mmu.vbaFaults();
-        ioFrames += mmu.framesRead();
-    }
-    const std::pair<const char *, std::pair<std::uint64_t,
-                                            std::uint64_t>>
-        checks[] = {
-            {"kern.syscalls", {sum.kernSyscalls, kernel.syscallCount()}},
-            {"ssd.ops", {sum.ssdOps, devOps}},
-            {"ssd.read_bytes", {sum.ssdReadBytes, devRead}},
-            {"ssd.write_bytes", {sum.ssdWriteBytes, devWrite}},
-            {"ssd.translation_faults", {sum.ssdTranslationFaults, devTf}},
-            {"iommu.vba_translations",
-             {sum.iommuVbaTranslations, ioTrans}},
-            {"iommu.vba_faults", {sum.iommuVbaFaults, ioFaults}},
-            {"iommu.page_walk_frames",
-             {sum.iommuPageWalkFrames, ioFrames}},
-            {"fs.journal_records",
-             {sum.fsJournalRecords, ext4.journal().records()}},
-            {"fs.metadata_ops", {sum.fsMetadataOps, ext4.metadataOps()}},
-            {"fs.page_cache_hits",
-             {sum.fsPageCacheHits, kernel.pageCache().hits()}},
-            {"fs.page_cache_misses",
-             {sum.fsPageCacheMisses, kernel.pageCache().misses()}},
-            {"bypassd.cold_fmaps",
-             {sum.bypassdColdFmaps, module.coldFmaps()}},
-            {"bypassd.warm_fmaps",
-             {sum.bypassdWarmFmaps, module.warmFmaps()}},
-            {"bypassd.rejected_fmaps",
-             {sum.bypassdRejectedFmaps, module.rejectedFmaps()}},
-            {"bypassd.revoked_victims",
-             {sum.bypassdRevokedVictims, module.revokedVictims()}},
-            // QoS off: both sides are zero, the rows hold trivially.
-            {"qos.throttles",
-             {sum.qosThrottles, qos_ ? qos_->throttles() : 0}},
-            {"qos.throttled_bytes",
-             {sum.qosThrottledBytes,
-              qos_ ? qos_->throttledBytes() : 0}},
-        };
-    for (const auto &[name, v] : checks)
-        if (v.first != v.second)
-            return sim::strf("%s: tenant sum %llu != system total %llu",
-                             name,
-                             static_cast<unsigned long long>(v.first),
-                             static_cast<unsigned long long>(v.second));
+    // Direction 1: per attributed key, the sum over tenants equals the
+    // system total (QoS off: both sides of the qos rows read 0).
+    TC sum;
+    acct_.forEach([&](TenantId, const TC &tc) { addRow(sum, tc); });
+    for (const CounterRow &r : kCounters)
+        if (r.tenant && sum.*r.tenant != totalOf(*this, r))
+            return sim::strf("%s.%s: tenant sum %" PRIu64
+                             " != system total %" PRIu64,
+                             r.group, r.name, sum.*r.tenant,
+                             totalOf(*this, r));
 
-    // Directions 2 and 3: the per-device x per-tenant table must fold
+    // Directions 2 and 3: the per-device x per-tenant rows must fold
     // bit-exactly into (a) each tenant's device-attributable counters
     // and (b) each device's hardware counters.
-    std::map<TenantId, obs::DeviceTenantCounters> byTenant;
-    std::map<DevId, obs::DeviceTenantCounters> byDev;
-    acct_.forEachDevice([&](DevId d, TenantId t,
-                            const obs::DeviceTenantCounters &dc) {
-        for (obs::DeviceTenantCounters *out : {&byTenant[t], &byDev[d]}) {
-            out->ssdOps += dc.ssdOps;
-            out->ssdReadBytes += dc.ssdReadBytes;
-            out->ssdWriteBytes += dc.ssdWriteBytes;
-            out->ssdTranslationFaults += dc.ssdTranslationFaults;
-            out->iommuVbaTranslations += dc.iommuVbaTranslations;
-            out->iommuVbaFaults += dc.iommuVbaFaults;
-            out->iommuPageWalkFrames += dc.iommuPageWalkFrames;
-        }
+    std::map<TenantId, TC> byTenant;
+    std::map<DevId, TC> byDev;
+    acct_.forEachDevice([&](DevId d, TenantId t, const TC &dc) {
+        addRow(byTenant[t], dc);
+        addRow(byDev[d], dc);
     });
     std::string err;
-    auto check7 = [&err](const char *scope, std::uint64_t id,
-                         const obs::DeviceTenantCounters &got,
-                         std::uint64_t ops, std::uint64_t rd,
-                         std::uint64_t wr, std::uint64_t tf,
-                         std::uint64_t vt, std::uint64_t vf,
-                         std::uint64_t pw) {
-        if (!err.empty())
-            return;
-        const std::pair<const char *, std::pair<std::uint64_t,
-                                                std::uint64_t>>
-            rows[] = {
-                {"ssd.ops", {got.ssdOps, ops}},
-                {"ssd.read_bytes", {got.ssdReadBytes, rd}},
-                {"ssd.write_bytes", {got.ssdWriteBytes, wr}},
-                {"ssd.translation_faults",
-                 {got.ssdTranslationFaults, tf}},
-                {"iommu.vba_translations",
-                 {got.iommuVbaTranslations, vt}},
-                {"iommu.vba_faults", {got.iommuVbaFaults, vf}},
-                {"iommu.page_walk_frames",
-                 {got.iommuPageWalkFrames, pw}},
-            };
-        for (const auto &[name, v] : rows)
-            if (v.first != v.second) {
-                err = sim::strf(
-                    "%s %llu %s: device-fold %llu != reference %llu",
-                    scope, static_cast<unsigned long long>(id), name,
-                    static_cast<unsigned long long>(v.first),
-                    static_cast<unsigned long long>(v.second));
-                return;
-            }
+    auto check = [&err](const char *scope, std::uint64_t id,
+                        const TC &fold, const TC &ref) {
+        for (const CounterRow &r : kCounters)
+            if (err.empty() && perDevice(r) && fold.*r.tenant != ref.*r.tenant)
+                err = sim::strf("%s %" PRIu64 " %s.%s: device-fold %" PRIu64
+                                " != reference %" PRIu64,
+                                scope, id, r.group, r.name, fold.*r.tenant,
+                                ref.*r.tenant);
     };
-    acct_.forEach([&](TenantId t, const obs::TenantCounters &tc) {
-        auto it = byTenant.find(t);
-        const obs::DeviceTenantCounters zero;
-        check7("tenant", t, it == byTenant.end() ? zero : it->second,
-               tc.ssdOps, tc.ssdReadBytes, tc.ssdWriteBytes,
-               tc.ssdTranslationFaults, tc.iommuVbaTranslations,
-               tc.iommuVbaFaults, tc.iommuPageWalkFrames);
+    acct_.forEach([&](TenantId t, const TC &tc) {
+        check("tenant", t, byTenant[t], tc);
     });
     for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        auto it = byDev.find(d.devId());
-        const obs::DeviceTenantCounters zero;
-        check7("device", d.devId(),
-               it == byDev.end() ? zero : it->second, d.totalOps(),
-               d.readBytes(), d.writeBytes(), d.translationFaults(),
-               mmu.vbaTranslations(), mmu.vbaFaults(), mmu.framesRead());
+        TC hw;
+        for (const CounterRow &r : kCounters)
+            if (perDevice(r))
+                hw.*r.tenant = r.slot(devices.slot(i));
+        const DevId d = devices.slot(i).dev.devId();
+        check("device", d, byDev[d], hw);
     }
     return err;
+}
+
+std::uint64_t
+System::counterTotal(const std::string &key)
+{
+    for (const CounterRow &r : kCounters)
+        if (key == sim::strf("%s.%s", r.group, r.name))
+            return totalOf(*this, r);
+    sim::panic("counterTotal: no counter " + key);
 }
 
 void
 System::collectMetrics()
 {
-    metrics.counter("sim", "events_executed").set(eq.executed());
-    metrics.counter("kern", "syscalls").set(kernel.syscallCount());
-    // iommu.* and ssd.* totals fold across every fleet slot (identical
-    // to the classic single-device values when maxDevices == 1).
-    std::uint64_t ioTrans = 0, ioFaults = 0, ioFrames = 0, tlbHit = 0,
-                  tlbMiss = 0, wcHit = 0, wcMiss = 0;
-    std::uint64_t devOps = 0, devRead = 0, devWrite = 0, devTf = 0,
-                  devMediaErrs = 0;
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        ioTrans += mmu.vbaTranslations();
-        ioFaults += mmu.vbaFaults();
-        ioFrames += mmu.framesRead();
-        tlbHit += mmu.iotlb().hits();
-        tlbMiss += mmu.iotlb().misses();
-        wcHit += mmu.walkCache().hits();
-        wcMiss += mmu.walkCache().misses();
-        devOps += d.totalOps();
-        devRead += d.readBytes();
-        devWrite += d.writeBytes();
-        devTf += d.translationFaults();
-        devMediaErrs += d.mediaErrors();
+    const bool fleet = devices.size() > 1;
+    for (const CounterRow &r : kCounters)
+        if (!r.qosOnly || qos_)
+            metrics.counter(r.group, r.name).set(totalOf(*this, r));
+    // Per-device groups and media errors: fleets only, so classic
+    // single-device output keeps its exact key set.
+    if (fleet)
+        metrics.counter("ssd", "media_errors")
+            .set(foldSlots(devices, [](Slot d) {
+                return d.dev.mediaErrors();
+            }));
+    for (std::size_t i = 0; fleet && i < devices.size(); i++) {
+        const ssd::DeviceSlot &slot = devices.slot(i);
+        for (const CounterRow &r : kCounters)
+            if (perDevice(r))
+                metrics.counter(devGroup(r.group, slot.dev.devId()), r.name)
+                    .set(r.slot(slot));
+        const std::string g = devGroup("ssd", slot.dev.devId());
+        metrics.counter(g, "media_errors").set(slot.dev.mediaErrors());
+        metrics.counter(g, "evicted").set(slot.dev.evicted() ? 1 : 0);
     }
-    metrics.counter("iommu", "vba_translations").set(ioTrans);
-    metrics.counter("iommu", "vba_faults").set(ioFaults);
-    metrics.counter("iommu", "page_walk_frames").set(ioFrames);
-    metrics.counter("iommu", "iotlb_hits").set(tlbHit);
-    metrics.counter("iommu", "iotlb_misses").set(tlbMiss);
-    metrics.counter("iommu", "walk_cache_hits").set(wcHit);
-    metrics.counter("iommu", "walk_cache_misses").set(wcMiss);
-    metrics.counter("ssd", "ops").set(devOps);
-    metrics.counter("ssd", "read_bytes").set(devRead);
-    metrics.counter("ssd", "write_bytes").set(devWrite);
-    metrics.counter("ssd", "translation_faults").set(devTf);
-    if (devices.size() > 1) {
-        metrics.counter("ssd", "media_errors").set(devMediaErrs);
-        // Per-device breakdown groups (multi-device fleets only, so
-        // classic single-device metric output is unchanged).
-        for (std::size_t i = 0; i < devices.size(); i++) {
-            const ssd::NvmeDevice &d = devices.slot(i).dev;
-            const iommu::Iommu &mmu = devices.slot(i).iommu;
-            const std::string g
-                = sim::strf("ssd.dev%u", unsigned(d.devId()));
-            metrics.counter(g, "ops").set(d.totalOps());
-            metrics.counter(g, "read_bytes").set(d.readBytes());
-            metrics.counter(g, "write_bytes").set(d.writeBytes());
-            metrics.counter(g, "translation_faults")
-                .set(d.translationFaults());
-            metrics.counter(g, "media_errors").set(d.mediaErrors());
-            metrics.counter(g, "evicted").set(d.evicted() ? 1 : 0);
-            const std::string gi
-                = sim::strf("iommu.dev%u", unsigned(d.devId()));
-            metrics.counter(gi, "vba_translations")
-                .set(mmu.vbaTranslations());
-            metrics.counter(gi, "vba_faults").set(mmu.vbaFaults());
-            metrics.counter(gi, "page_walk_frames")
-                .set(mmu.framesRead());
-        }
+    for (const auto &[name, get] : kUserLibCounters) {
+        std::uint64_t total = 0;
+        kernel.forEachProcess([&](kern::Process &p) {
+            if (!p.userLib)
+                return;
+            total += (p.userLib->*get)();
+            if (acctEnabled_)
+                metrics.tenant(p.pasid())
+                    .counter("bypassd", name)
+                    .set((p.userLib->*get)());
+        });
+        metrics.counter("bypassd", name).set(total);
     }
-    metrics.counter("fs", "journal_commits")
-        .set(ext4.journal().committedTxns());
-    metrics.counter("fs", "journal_records")
-        .set(ext4.journal().records());
-    metrics.counter("fs", "metadata_ops").set(ext4.metadataOps());
-    metrics.counter("fs", "page_cache_hits")
-        .set(kernel.pageCache().hits());
-    metrics.counter("fs", "page_cache_misses")
-        .set(kernel.pageCache().misses());
-    metrics.counter("bypassd", "cold_fmaps").set(module.coldFmaps());
-    metrics.counter("bypassd", "warm_fmaps").set(module.warmFmaps());
-    metrics.counter("bypassd", "revocations").set(module.revocations());
-    metrics.counter("bypassd", "revoked_victims")
-        .set(module.revokedVictims());
-    metrics.counter("bypassd", "rejected_fmaps")
-        .set(module.rejectedFmaps());
-    std::uint64_t directReads = 0, directWrites = 0, fallbacks = 0,
-                  iommuFaults = 0;
-    kernel.forEachProcess([&](kern::Process &p) {
-        if (!p.userLib)
-            return;
-        directReads += p.userLib->directReads();
-        directWrites += p.userLib->directWrites();
-        fallbacks += p.userLib->kernelFallbackOps();
-        iommuFaults += p.userLib->iommuFaults();
-    });
-    metrics.counter("bypassd", "direct_reads").set(directReads);
-    metrics.counter("bypassd", "direct_writes").set(directWrites);
-    metrics.counter("bypassd", "kernel_fallback_ops").set(fallbacks);
-    metrics.counter("bypassd", "iommu_faults").set(iommuFaults);
     metrics.gauge("ssd", "resident_bytes")
         .set(static_cast<double>(store.residentBytes()));
     metrics.gauge("sim", "now_ns").set(static_cast<double>(eq.now()));
-    // qos.* appears only when QoS is on, so non-QoS configs keep their
-    // exact metric key set.
-    if (qos_) {
-        metrics.counter("qos", "admits").set(qos_->admits());
-        metrics.counter("qos", "throttles").set(qos_->throttles());
-        metrics.counter("qos", "throttled_bytes")
-            .set(qos_->throttledBytes());
-    }
 
-    if (!acctEnabled_)
-        return;
-    // Per-tenant sub-registries. Each key mirrors a system total above
-    // and the attribution sites are co-located with the aggregate
-    // increments, so sum-over-tenants equals the total bit-exactly.
-    acct_.forEach([&](TenantId id, const obs::TenantCounters &tc) {
-        obs::MetricsRegistry &m = metrics.tenant(id);
-        m.counter("kern", "syscalls").set(tc.kernSyscalls);
-        m.counter("ssd", "ops").set(tc.ssdOps);
-        m.counter("ssd", "read_bytes").set(tc.ssdReadBytes);
-        m.counter("ssd", "write_bytes").set(tc.ssdWriteBytes);
-        m.counter("ssd", "translation_faults")
-            .set(tc.ssdTranslationFaults);
-        m.counter("iommu", "vba_translations")
-            .set(tc.iommuVbaTranslations);
-        m.counter("iommu", "vba_faults").set(tc.iommuVbaFaults);
-        m.counter("iommu", "page_walk_frames")
-            .set(tc.iommuPageWalkFrames);
-        m.counter("fs", "journal_records").set(tc.fsJournalRecords);
-        m.counter("fs", "metadata_ops").set(tc.fsMetadataOps);
-        m.counter("fs", "page_cache_hits").set(tc.fsPageCacheHits);
-        m.counter("fs", "page_cache_misses").set(tc.fsPageCacheMisses);
-        m.counter("bypassd", "cold_fmaps").set(tc.bypassdColdFmaps);
-        m.counter("bypassd", "warm_fmaps").set(tc.bypassdWarmFmaps);
-        m.counter("bypassd", "rejected_fmaps")
-            .set(tc.bypassdRejectedFmaps);
-        m.counter("bypassd", "revoked_victims")
-            .set(tc.bypassdRevokedVictims);
-        if (qos_) {
-            m.counter("qos", "throttles").set(tc.qosThrottles);
-            m.counter("qos", "throttled_bytes")
-                .set(tc.qosThrottledBytes);
-        }
+    // Per-tenant scopes, under the keys of the totals they shadow.
+    acct_.forEach([&](TenantId id, const TC &tc) {
+        for (const CounterRow &r : kCounters)
+            if (r.tenant && (!r.qosOnly || qos_))
+                metrics.tenant(id).counter(r.group, r.name).set(tc.*r.tenant);
     });
-    // Per-device x per-tenant breakdown. Published for fleets only so
-    // classic single-device tenant output keeps its exact key set.
-    if (devices.size() > 1)
-        acct_.forEachDevice([&](DevId d, TenantId id,
-                                const obs::DeviceTenantCounters &dc) {
-        obs::MetricsRegistry &m = metrics.tenant(id);
-        const std::string g = sim::strf("ssd.dev%u", unsigned(d));
-        m.counter(g, "ops").set(dc.ssdOps);
-        m.counter(g, "read_bytes").set(dc.ssdReadBytes);
-        m.counter(g, "write_bytes").set(dc.ssdWriteBytes);
-        m.counter(g, "translation_faults").set(dc.ssdTranslationFaults);
-        const std::string gi = sim::strf("iommu.dev%u", unsigned(d));
-        m.counter(gi, "vba_translations").set(dc.iommuVbaTranslations);
-        m.counter(gi, "vba_faults").set(dc.iommuVbaFaults);
-        m.counter(gi, "page_walk_frames").set(dc.iommuPageWalkFrames);
-    });
-    // UserLib stats are already tracked per process; a process is a
-    // tenant, so publish them straight into its sub-registry.
-    kernel.forEachProcess([&](kern::Process &p) {
-        if (!p.userLib)
-            return;
-        obs::MetricsRegistry &m = metrics.tenant(p.pasid());
-        m.counter("bypassd", "direct_reads")
-            .set(p.userLib->directReads());
-        m.counter("bypassd", "direct_writes")
-            .set(p.userLib->directWrites());
-        m.counter("bypassd", "kernel_fallback_ops")
-            .set(p.userLib->kernelFallbackOps());
-        m.counter("bypassd", "iommu_faults")
-            .set(p.userLib->iommuFaults());
-    });
+    if (fleet)
+        acct_.forEachDevice([&](DevId d, TenantId id, const TC &dc) {
+            for (const CounterRow &r : kCounters)
+                if (perDevice(r))
+                    metrics.tenant(id)
+                        .counter(devGroup(r.group, d), r.name)
+                        .set(dc.*r.tenant);
+        });
 }
 
 bypassd::UserLib &

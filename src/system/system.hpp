@@ -162,8 +162,17 @@ class System
     /**
      * Pull current counters out of every component's stat accessors
      * into the metrics registry (cheap; call before snapshotting).
+     * The counter table in system.cpp names each exported counter, its
+     * tenant slice and the source of its system total once.
      */
     void collectMetrics();
+
+    /**
+     * System total of the table counter @p key ("iommu.iotlb_hits"):
+     * a per-slot hardware counter folded over every fleet slot, or the
+     * System-wide stat. Panics on a key the table does not hold.
+     */
+    std::uint64_t counterTotal(const std::string &key);
 
     /**
      * Check the attribution invariant: for every accounted counter,

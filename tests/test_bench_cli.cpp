@@ -2,16 +2,20 @@
  * @file
  * bench::Cli, the one command-line parser of the bench binaries: each
  * declared flag set accepts exactly its flags, refusals exit 2, and the
- * generated usage line lists exactly what is accepted.
+ * generated usage line lists exactly what is accepted; finish() exits 1
+ * when an output file cannot be written, and a standalone capture
+ * streams the same spans --trace retains.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "obs/json.hpp"
 
 using namespace bpd;
 using bench::Cli;
@@ -48,6 +52,44 @@ const std::vector<FlagCase> kAllFlags = {
 
 const unsigned kSets[] = {bench::kObsFlags, bench::kOutFlags,
                           bench::kFleetFlags};
+
+bool
+haveDevFull()
+{
+    std::FILE *f = std::fopen("/dev/full", "w");
+    if (f)
+        std::fclose(f);
+    return f != nullptr;
+}
+
+/** Number of "ph":"X" events in the Chrome trace at @p path; -1 if it
+ * does not parse. */
+long
+completeSpans(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return -1;
+    std::string text;
+    char buf[1 << 14];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        text.append(buf, n);
+    std::fclose(f);
+    obs::json::Value root;
+    std::string err;
+    if (!obs::json::parse(text, root, err))
+        return -1;
+    const obs::json::Value *events = root.find("traceEvents");
+    if (!events || !events->isArray())
+        return -1;
+    long spans = 0;
+    for (const obs::json::Value &ev : events->arr) {
+        const obs::json::Value *ph = ev.find("ph");
+        spans += ph && ph->isString() && ph->str == "X";
+    }
+    return spans;
+}
 
 } // namespace
 
@@ -149,4 +191,56 @@ TEST(BenchCli, UsageListsExactlyTheAcceptedFlags)
                 want.insert(fc.args[0]);
         EXPECT_EQ(listed, want) << u;
     }
+}
+
+TEST(BenchCli, FinishFailsWhenAnOutputCannotBeWritten)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "no /dev/full on this host";
+    bench::BenchJson json;
+    bench::BenchJson::field(json.add("s"), "events", 1);
+    EXPECT_FALSE(json.write("/dev/full", "x", true, 0));
+
+    Cli out("b", bench::kOutFlags);
+    ASSERT_EQ(parse(out, {"--out", "/dev/full"}), 0);
+    EXPECT_EQ(out.finish(json), 1);
+    Cli metrics("b", bench::kObsFlags);
+    ASSERT_EQ(parse(metrics, {"--metrics", "/dev/full"}), 0);
+    EXPECT_EQ(metrics.finish(), 1);
+    Cli trace("b", bench::kObsFlags);
+    ASSERT_EQ(parse(trace, {"--trace", "/dev/full"}), 0);
+    EXPECT_EQ(trace.finish(), 1);
+}
+
+TEST(BenchCli, StandaloneCaptureStreamsTheRetainedSpans)
+{
+    // A tracer with no System behind it, as fig5 and table4 use: its
+    // spans are retained, and --trace-stream must still receive them.
+    sim::EventQueue eq;
+    obs::MetricsRegistry reg;
+    obs::Tracer tr(eq, obs::Level::Device, &reg);
+    const std::uint16_t track = tr.track("ats");
+    Time at = 0;
+    for (std::uint64_t n = 1; n <= 5; n++) {
+        obs::RequestBreakdown b;
+        b.translateNs = 100 * n;
+        tr.request(track, "ats.translate", 0, at, at + b.translateNs, b);
+        tr.span(tr.track("iommu"), "iommu.walk", 0, at, at + 50);
+        at += b.translateNs;
+    }
+    tr.instant(track, "ats.done", 0);
+
+    const std::string dir = ::testing::TempDir();
+    const std::string retained = dir + "bpd_standalone_trace.json";
+    const std::string streamed = dir + "bpd_standalone_stream.json";
+    Cli cli("b", bench::kObsFlags);
+    ASSERT_EQ(parse(cli, {"--trace", retained, "--trace-stream", streamed}),
+              0);
+    cli.obs.captureStandalone("standalone", tr, eq, reg);
+    ASSERT_EQ(cli.finish(), 0);
+
+    EXPECT_EQ(completeSpans(retained), 10);
+    EXPECT_EQ(completeSpans(streamed), 10);
+    std::remove(retained.c_str());
+    std::remove(streamed.c_str());
 }

@@ -145,7 +145,7 @@ TEST(FleetDeviceMap, PerDeviceTenantSumsFoldThreeDirections)
     // back to each slot's hardware op counter bit-exactly.
     std::map<DevId, std::uint64_t> perDev;
     s.tenantAccounting().forEachDevice(
-        [&](DevId d, TenantId, const obs::DeviceTenantCounters &c) {
+        [&](DevId d, TenantId, const obs::TenantCounters &c) {
             perDev[d] += c.ssdOps;
         });
     EXPECT_GE(perDev.size(), 2u);

@@ -2,8 +2,8 @@
  * @file
  * Tests of the observability subsystem (src/obs/): metrics registry
  * snapshot/merge/JSON, tracer recording semantics, span invariants on a
- * real traced BypassD run, and Chrome trace-event export round-trip
- * through the bundled JSON parser.
+ * real traced BypassD run, Chrome trace-event export round-trip
+ * through the bundled JSON parser, and write errors of every exporter.
  */
 
 #include <algorithm>
@@ -524,6 +524,25 @@ TEST(Export, ChromeTraceRoundTripsThroughParser)
     const obs::json::Value *ops = counters->find("ssd.ops");
     ASSERT_TRUE(ops && ops->isNumber());
     EXPECT_GT(ops->number, 0.0);
+}
+
+TEST(Export, FullDiskIsAnError)
+{
+    // /dev/full accepts fopen and buffered writes; the failure shows
+    // only at the flush in fclose, which every writer must check.
+    std::FILE *probe = std::fopen("/dev/full", "w");
+    if (!probe)
+        GTEST_SKIP() << "no /dev/full on this host";
+    std::fclose(probe);
+    const obs::TraceData data;
+    EXPECT_FALSE(obs::writeChromeTraceFile("/dev/full", {{"run", &data}}));
+    EXPECT_FALSE(obs::writeMetricsFile("/dev/full",
+                                       {{"run", obs::MetricsSnapshot{}}}));
+    obs::StreamingTraceWriter w;
+    ASSERT_TRUE(w.open("/dev/full"));
+    w.beginProcess("run");
+    w.endProcess(data, nullptr);
+    EXPECT_FALSE(w.close());
 }
 
 // ---------------------------------------------------------------------

@@ -20,6 +20,8 @@
 
 #include "obs/export.hpp"
 #include "obs/replay.hpp"
+#include "qos/qos.hpp"
+#include "sim/hash.hpp"
 #include "sim/logging.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
@@ -53,6 +55,58 @@ freshSystem(std::uint64_t seed = 7)
     cfg.deviceBytes = 1ull << 30;
     cfg.seed = seed;
     return std::make_unique<sys::System>(cfg);
+}
+
+/** Accounted system after one small four-job run; on a fleet each
+ * job's file gets its own home device, so the run reaches every slot. */
+std::unique_ptr<sys::System>
+accountedRun(std::size_t maxDevices, wl::Engine e, wl::RwMode rw)
+{
+    sim::setVerbose(false);
+    sys::SystemConfig cfg;
+    cfg.deviceBytes = 1ull << 30;
+    cfg.seed = 7;
+    cfg.maxDevices = maxDevices;
+    auto s = std::make_unique<sys::System>(cfg);
+    s->enableTenantAccounting();
+    wl::FioRunner runner(*s);
+    wl::FioJob job = smallJob(e, rw);
+    job.numJobs = 4;
+    runner.run(job);
+    return s;
+}
+
+/** First tenant (in id order) that issued at least one device command. */
+TenantId
+busyTenant(const sys::System &s)
+{
+    TenantId busy = 0;
+    bool found = false;
+    s.tenantAccounting().forEach(
+        [&](TenantId id, const obs::TenantCounters &tc) {
+            if (!found && tc.ssdOps > 0) {
+                busy = id;
+                found = true;
+            }
+        });
+    EXPECT_TRUE(found);
+    return busy;
+}
+
+unsigned long long
+ull(std::uint64_t v)
+{
+    return static_cast<unsigned long long>(v);
+}
+
+/** FNV-1a of the metrics snapshot's JSON after collectMetrics(). */
+std::uint64_t
+metricsHash(sys::System &s)
+{
+    s.collectMetrics();
+    const std::string j = s.metrics.snapshot().toJson();
+    return sim::fnvBytes(reinterpret_cast<const std::uint8_t *>(j.data()),
+                         j.size());
 }
 
 } // namespace
@@ -280,4 +334,112 @@ TEST(TenantReplay, StreamCarriesTenantAndRoundTrips)
     obs::ReplayResult res;
     ASSERT_TRUE(obs::replayRun(rec, {}, res, err)) << err;
     EXPECT_EQ(res.digest, rec.digest);
+}
+
+// Each direction of verifyTenantSums must catch a drifted row and name
+// the counter: a row the check never reads would slip through silently.
+
+TEST(TenantSumsNegative, TenantRowDriftBreaksTheSystemTotal)
+{
+    auto s = accountedRun(1, wl::Engine::Bypassd, wl::RwMode::RandRead);
+    ASSERT_EQ(s->verifyTenantSums(), "");
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    acct.of(busyTenant(*s)).ssdOps++;
+    const std::uint64_t total = s->dev.totalOps();
+    EXPECT_EQ(s->verifyTenantSums(),
+              sim::strf("ssd.ops: tenant sum %llu != system total %llu",
+                        ull(total + 1), ull(total)));
+}
+
+TEST(TenantSumsNegative, DeviceRowDriftBreaksTheTenantFold)
+{
+    auto s = accountedRun(1, wl::Engine::Bypassd, wl::RwMode::RandRead);
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    const TenantId t = busyTenant(*s);
+    const std::uint64_t ops = acct.of(t).ssdOps;
+    acct.dev(s->dev.devId(), t).ssdOps++;
+    EXPECT_EQ(s->verifyTenantSums(),
+              sim::strf("tenant %llu ssd.ops: device-fold %llu != "
+                        "reference %llu",
+                        ull(t), ull(ops + 1), ull(ops)));
+}
+
+TEST(TenantSumsNegative, OpMovedBetweenDevicesBreaksTheDeviceFold)
+{
+    auto s = accountedRun(2, wl::Engine::Sync, wl::RwMode::RandWrite);
+    ASSERT_EQ(s->verifyTenantSums(), "");
+    const DevId d0 = s->devices.slot(0).dev.devId();
+    const DevId d1 = s->devices.slot(1).dev.devId();
+    TenantId t = 0;
+    bool found = false;
+    s->tenantAccounting().forEachDevice(
+        [&](DevId d, TenantId id, const auto &c) {
+            if (!found && d == d0 && c.ssdOps > 0) {
+                t = id;
+                found = true;
+            }
+        });
+    ASSERT_TRUE(found);
+    // The tenant's own total is unchanged; only the device split moves.
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    acct.dev(d0, t).ssdOps--;
+    acct.dev(d1, t).ssdOps++;
+    const std::uint64_t ops0 = s->devices.slot(0).dev.totalOps();
+    EXPECT_EQ(s->verifyTenantSums(),
+              sim::strf("device %llu ssd.ops: device-fold %llu != "
+                        "reference %llu",
+                        ull(d0), ull(ops0 - 1), ull(ops0)));
+}
+
+TEST(TenantSumsNegative, QosRowIsCheckedWithQosOff)
+{
+    // QoS off: the system total reads 0, so any tenant throttle is a
+    // drift the check must report.
+    auto s = accountedRun(1, wl::Engine::Bypassd, wl::RwMode::RandRead);
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    acct.of(busyTenant(*s)).qosThrottledBytes += 4096;
+    EXPECT_EQ(s->verifyTenantSums(),
+              "qos.throttled_bytes: tenant sum 4096 != system total 0");
+}
+
+// The exported metric key set and values of three shapes of run —
+// classic single device, a two-device fleet with its ssd.devN /
+// iommu.devN groups, and a throttled QoS tenant — pinned by hash.
+// A key added, dropped or renamed in collectMetrics moves the hash.
+
+TEST(TenantMetrics, KeySetAndValuesPinned)
+{
+    auto single = accountedRun(1, wl::Engine::Bypassd, wl::RwMode::RandRead);
+    EXPECT_EQ(metricsHash(*single), 0xd5d6728925483981ull)
+        << std::hex << "0x" << metricsHash(*single);
+
+    auto fleet = accountedRun(2, wl::Engine::Sync, wl::RwMode::RandWrite);
+    EXPECT_EQ(metricsHash(*fleet), 0x1384d4a5af5b78b4ull)
+        << std::hex << "0x" << metricsHash(*fleet);
+
+    auto s = freshSystem(9);
+    s->enableTenantAccounting();
+    qos::Registry &reg = s->enableQos();
+    kern::Process &p = s->newProcess(6000, 6000);
+    int fd = -1;
+    s->kernel.sysOpen(p, "/capped.dat",
+                      fs::kOpenCreate | fs::kOpenRead | fs::kOpenWrite
+                          | fs::kOpenDirect,
+                      0644, [&](int f) { fd = f; });
+    s->run();
+    ASSERT_GE(fd, 0);
+    std::vector<std::uint8_t> buf(4096);
+    s->kernel.sysPwrite(p, fd, buf, 0, [](long long, kern::IoTrace) {});
+    s->run();
+    qos::TenantLimit lim;
+    lim.iopsLimit = 1000;
+    lim.burstOps = 1;
+    reg.setLimit(p.pasid(), lim);
+    for (int i = 0; i < 5; i++)
+        s->kernel.sysPread(p, fd, buf, 0, [](long long, kern::IoTrace) {});
+    s->run();
+    ASSERT_GT(reg.throttles(), 0u);
+    ASSERT_EQ(s->verifyTenantSums(), "");
+    EXPECT_EQ(metricsHash(*s), 0xe17c4c014aef8241ull)
+        << std::hex << "0x" << metricsHash(*s);
 }

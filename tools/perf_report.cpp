@@ -27,7 +27,8 @@
  * baselines without them show "-".
  *
  * Exit status is non-zero if any scenario present in both files has a
- * digest mismatch, so CI can gate on simulation-result identity.
+ * digest mismatch, so CI can gate on simulation-result identity, and
+ * 2 when --out cannot be opened or written in full.
  *
  * The parser below handles exactly the "bypassd-bench-v1" schema that
  * perf_harness emits (flat objects, string/number/bool scalars, one
@@ -691,7 +692,12 @@ main(int argc, char **argv)
         std::fprintf(f, ",\n");
         emitRun("current", cur);
         std::fprintf(f, "\n}\n");
-        std::fclose(f);
+        const bool written = std::ferror(f) == 0;
+        if (std::fclose(f) != 0 || !written) {
+            std::fprintf(stderr, "perf_report: error writing %s\n",
+                         outPath.c_str());
+            return 2;
+        }
         std::printf("wrote %s\n", outPath.c_str());
     }
     return (digestMismatch || rssViolation) ? 1 : 0;
